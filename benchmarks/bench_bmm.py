@@ -10,8 +10,8 @@ package so ``repro bench-bmm`` shares it):
   bit before any clock starts;
 * end-to-end — the same sentence through a CDG ``ParserSession`` on
   every available kernel backend (identical settled networks), and
-  through CYK on each backend vs the set-based chart oracle
-  (identical charts and operation counts).
+  through CYK at 12 and 40 words on each backend vs the set-based
+  chart oracle (identical charts and operation counts).
 
 Run standalone to (re)generate the committed record::
 
@@ -48,16 +48,19 @@ def test_bmm_bench(report):
         notes=record["notes"],
     )
     cdg = record["end_to_end"]["cdg"]
-    cfg = record["end_to_end"]["cfg"]
-    assert cdg["identical"] and cfg["identical"]
+    cfgs = record["end_to_end"]["cfg"]
+    assert cdg["identical"] and all(cfg["identical"] for cfg in cfgs)
     report(
         "Both parsers on the shared kernel core (quick)",
         ["parser", "packed ms", "numpy ms", "oracle ms"],
         [
             [f"CDG n={cdg['sentence_words']}", cdg["latency_ms"]["packed"],
              cdg["latency_ms"]["numpy"], "-"],
-            [f"CFG/CYK n={cfg['sentence_words']}", cfg["latency_ms"]["packed"],
-             cfg["latency_ms"]["numpy"], cfg["latency_ms"]["sets-oracle"]],
+            *[
+                [f"CFG/CYK n={cfg['sentence_words']}", cfg["latency_ms"]["packed"],
+                 cfg["latency_ms"]["numpy"], cfg["latency_ms"]["sets-oracle"]]
+                for cfg in cfgs
+            ],
         ],
     )
 

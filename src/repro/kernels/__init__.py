@@ -1,7 +1,7 @@
 """Boolean-linear-algebra kernels: the word-level core under both parsers.
 
 Lee 1997 ("Fast Context-Free Parsing Requires Fast BMM", via Valiant)
-shows the asymptotic ceiling of this parser family *is* Boolean matrix
+shows that sub-cubic CFG parsing is as hard as Boolean matrix
 multiplication.  This package owns every primitive that touches packed
 little-endian uint64 bit-planes, so the CDG side (consistency sweep,
 fused binary-mask apply) and the CFG side (packed CYK) run on one
@@ -9,10 +9,12 @@ shared kernel core instead of three disconnected inner loops:
 
 * :mod:`repro.kernels.bitops` — word-level primitives: popcounts,
   AND-accumulate with exact delta counting, segmented OR/popcount
-  reductions, row/column clears, dense bit pack/unpack.
+  reductions, row/column clears, dense bit pack/unpack, bit scatter,
+  and the row-pair intersection CYK's span step runs on.
 * :mod:`repro.kernels.bmm` — Boolean matrix multiplication over packed
   words: a blocked four-Russians kernel and a plain-numpy bit-plane
-  fallback.
+  fallback.  No parser calls it (CYK's span step is a diagonal, not a
+  product); the microbench and the autotuner still do.
 * :mod:`repro.kernels.backend` — the kernel-backend registry (mirrors
   :mod:`repro.engines.registry`): ``packed`` (default), ``numpy``
   (bit-plane matmul oracle), ``native`` (compiled C via ctypes),

@@ -21,8 +21,16 @@ path — is a dict hit.
 A backend provides the Boolean-linear-algebra surface both parsers run
 on:
 
-* ``bmm(a_bits, b_bits)`` — packed Boolean matrix product (CYK span
-  combination).
+* ``bmm(a_bits, b_bits)`` — packed Boolean matrix product.  No parser
+  calls it: CYK used to combine spans with one full product per span
+  length and read a single diagonal of it, and now runs that diagonal
+  directly through ``rows_intersect``.  It stays for the kernel
+  microbench and the autotuner's races.
+* ``rows_intersect(a_words, b_words)`` — does each packed row pair
+  share a set bit?  CYK's span-combination step: one call per span
+  length covers every child pair and every start.  The default
+  implementation (:func:`repro.kernels.bitops.rows_intersect`) is
+  inherited by every backend.
 * ``support_any(matrix_words, alive_words, seg_byte_starts)`` — the
   consistency sweep's OR-reduction: does row *a* keep an alive partner
   in each segment?  The packed backend computes it as a word-wide AND
@@ -84,6 +92,10 @@ class KernelBackend:
     def and_accumulate(self, target_words: np.ndarray, mask_words: np.ndarray) -> int:
         """AND *mask* into *target* in place; return bits cleared."""
         return bitops.and_accumulate(target_words, mask_words)
+
+    def rows_intersect(self, a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
+        """``(...)`` bool: does packed row ``a[k]`` share a set bit with ``b[k]``?"""
+        return bitops.rows_intersect(a_words, b_words)
 
     def count_ones(self, words: np.ndarray) -> int:
         """Total population count of a packed array."""

@@ -9,9 +9,8 @@ The kernel extraction's claims, in falsifiability order:
     operand;
   - a CDG parse on the ``packed`` backend and on the ``numpy`` backend
     settles to the same packed network, word for word;
-  - the packed fence-matrix CYK and the pre-kernel set-based chart
-    agree on the accepted flag, every chart cell, and the operation
-    count.
+  - the packed fence CYK and the pre-kernel set-based chart agree on
+    the accepted flag, every chart cell, and the operation count.
 
   A record whose identity sweep fails is written with ``ok: false``
   and no timing section is trusted (the standalone runner exits 1).
@@ -31,8 +30,12 @@ The kernel extraction's claims, in falsifiability order:
 
 * **End-to-end** (host-relative): the same sentence through a CDG
   :class:`~repro.pipeline.session.ParserSession` per kernel backend,
-  and through packed CYK per backend versus the set-based chart — one
-  table showing both parsers riding the one kernel core.
+  and sentences of :data:`CFG_LENGTHS` words through packed CYK per
+  backend versus the set-based chart — one table showing both parsers
+  riding the one kernel core.  CYK no longer calls ``bmm`` (its span
+  combination is the diagonal ``rows_intersect`` step, see
+  :mod:`repro.cfg.cyk`), so its rows time that step, not the products
+  above.
 
 All timings are single-core wall clock; the record embeds
 :func:`repro.analysis.host.host_metadata` so numbers are read against
@@ -79,6 +82,10 @@ NAIVE_CAP = 256**3
 
 REPEATS = 3
 QUICK_REPEATS = 2
+
+#: CYK sentence lengths timed end to end (both ends of the reprobench
+#: ``cyk_chart`` mix); cheap enough that quick runs keep them.
+CFG_LENGTHS = (12, 40)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -188,36 +195,42 @@ def _cdg_end_to_end(n_words: int, repeats: int, batch: int) -> tuple[bool, dict]
     }
 
 
-def _cfg_end_to_end(n_words: int, repeats: int) -> tuple[bool, dict]:
+def _cfg_end_to_end(repeats: int) -> tuple[bool, list[dict]]:
     from repro.cfg import cyk_parse, cyk_parse_sets, english_cfg, to_cnf
     from repro.workloads import sentence_of_length
 
     cnf = to_cnf(english_cfg())
-    words = sentence_of_length(n_words)
-    oracle = cyk_parse_sets(cnf, words)
-    identical = True
-    timings = {}
     backends = _session_backends()
-    for backend in backends:
-        packed = cyk_parse(cnf, words, backend=backend)
-        identical = identical and bool(
-            packed.accepted == oracle.accepted
-            and packed.chart_sets == oracle.chart_sets
-            and packed.split_operations == oracle.split_operations
+    rows = []
+    for n_words in CFG_LENGTHS:
+        words = sentence_of_length(n_words)
+        oracle = cyk_parse_sets(cnf, words)
+        identical = True
+        timings = {}
+        for backend in backends:
+            packed = cyk_parse(cnf, words, backend=backend)
+            identical = identical and bool(
+                packed.accepted == oracle.accepted
+                and packed.chart_sets == oracle.chart_sets
+                and packed.split_operations == oracle.split_operations
+            )
+            timings[backend] = round(
+                _best_of(lambda: cyk_parse(cnf, words, backend=backend), repeats) * 1e3,
+                4,
+            )
+        timings["sets-oracle"] = round(
+            _best_of(lambda: cyk_parse_sets(cnf, words), repeats) * 1e3, 4
         )
-        timings[backend] = round(
-            _best_of(lambda: cyk_parse(cnf, words, backend=backend), repeats) * 1e3, 4
+        rows.append(
+            {
+                "sentence_words": n_words,
+                "accepted": oracle.accepted,
+                "backends": list(backends),
+                "identical": identical,
+                "latency_ms": timings,
+            }
         )
-    timings["sets-oracle"] = round(
-        _best_of(lambda: cyk_parse_sets(cnf, words), repeats) * 1e3, 4
-    )
-    return identical, {
-        "sentence_words": n_words,
-        "accepted": oracle.accepted,
-        "backends": list(backends),
-        "identical": identical,
-        "latency_ms": timings,
-    }
+    return all(row["identical"] for row in rows), rows
 
 
 def run_bench(*, quick: bool = False, out_path: "Path | str | None" = None) -> dict:
@@ -226,7 +239,7 @@ def run_bench(*, quick: bool = False, out_path: "Path | str | None" = None) -> d
     repeats = QUICK_REPEATS if quick else REPEATS
     micro_ok, micro = _micro_identity_and_timing(sizes, repeats)
     cdg_ok, cdg = _cdg_end_to_end(7 if quick else 10, repeats, batch=4)
-    cfg_ok, cfg = _cfg_end_to_end(8 if quick else 12, repeats)
+    cfg_ok, cfg = _cfg_end_to_end(repeats)
     auto = probe_backend("auto")
     record = {
         "bench": "bmm",
@@ -246,7 +259,9 @@ def run_bench(*, quick: bool = False, out_path: "Path | str | None" = None) -> d
         "notes": (
             "single-core wall clock on the recorded host; bit-identity "
             "asserted before timing; the broadcast oracle is only timed "
-            "up to naive_capped_at elements"
+            "up to naive_capped_at elements; CYK no longer calls bmm -- "
+            "its span combination is one rows_intersect call per span "
+            "length, so the cfg rows time that step, not these products"
         ),
     }
     if out_path is not None:
@@ -290,27 +305,28 @@ def print_report(record: dict, out) -> None:
         file=out,
     )
     cdg = record["end_to_end"]["cdg"]
-    cfg = record["end_to_end"]["cfg"]
     backends = record.get("backends") or ["packed", "numpy"]
     parser_headers = ["parser", "identical", *[f"{b} ms" for b in backends], "oracle ms"]
+    parser_rows = [
+        [
+            f"CDG n={cdg['sentence_words']} ({cdg['engine']})",
+            "yes" if cdg["identical"] else "NO",
+            *[cdg["latency_ms"].get(b, "-") for b in backends],
+            "-",
+        ]
+    ]
+    for cfg in record["end_to_end"]["cfg"]:
+        parser_rows.append(
+            [
+                f"CFG/CYK n={cfg['sentence_words']}",
+                "yes" if cfg["identical"] else "NO",
+                *[cfg["latency_ms"].get(b, "-") for b in backends],
+                cfg["latency_ms"]["sets-oracle"],
+            ]
+        )
     print(
         format_table(
-            parser_headers,
-            [
-                [
-                    f"CDG n={cdg['sentence_words']} ({cdg['engine']})",
-                    "yes" if cdg["identical"] else "NO",
-                    *[cdg["latency_ms"].get(b, "-") for b in backends],
-                    "-",
-                ],
-                [
-                    f"CFG/CYK n={cfg['sentence_words']}",
-                    "yes" if cfg["identical"] else "NO",
-                    *[cfg["latency_ms"].get(b, "-") for b in backends],
-                    cfg["latency_ms"]["sets-oracle"],
-                ],
-            ],
-            title="Both parsers on the shared kernel core",
+            parser_headers, parser_rows, title="Both parsers on the shared kernel core"
         ),
         file=out,
     )

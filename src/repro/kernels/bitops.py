@@ -80,6 +80,29 @@ def test_bit(row_words: np.ndarray, index: int) -> bool:
     return bool(word >> WORD_DTYPE.type(index & 63) & WORD_DTYPE.type(1))
 
 
+def set_bits(words: np.ndarray, rows: tuple[np.ndarray, ...], bits: np.ndarray) -> None:
+    """Set dense bit ``bits[k]`` of packed row ``words[rows][k]``, for all *k*.
+
+    The vectorized :func:`set_bit`: *rows* indexes every axis but the
+    last (one index array per axis), *bits* gives one dense bit position
+    per indexed row.  Repeated targets are fine — the scatter is an
+    unbuffered ``bitwise_or.at``.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    masks = WORD_DTYPE.type(1) << (bits & 63).astype(WORD_DTYPE)
+    np.bitwise_or.at(words, (*rows, bits >> 6), masks)
+
+
+def rows_intersect(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
+    """``(...)`` bool: does packed row ``a[k]`` share a set bit with ``b[k]``?
+
+    Both operands are ``(..., n_words)`` word arrays of one shape; the
+    result drops the word axis.  Empty rows (zero words) never
+    intersect.
+    """
+    return np.bitwise_and(a_words, b_words).any(axis=-1)
+
+
 # -- counting ----------------------------------------------------------------
 
 def count_ones(words: np.ndarray) -> int:

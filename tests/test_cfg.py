@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GrammarError
+from repro.kernels.backend import probe_backend
 from repro.cfg import (
     CFG,
     anbn_cfg,
@@ -26,6 +27,30 @@ from repro.cfg import (
     typed_brackets_cfg,
 )
 from repro.workloads import sentence_of_length
+
+#: Every kernel backend CYK can run on; unprobeable ones skip.
+CYK_BACKENDS = ["packed", "numpy", "native", "auto"]
+
+GRAMMARS = {
+    "anbn": anbn_cfg,
+    "brackets": balanced_brackets_cfg,
+    "typed": typed_brackets_cfg,
+    "palindrome": palindrome_cfg,
+    "english": english_cfg,
+}
+
+
+def require_backend(name: str) -> None:
+    if probe_backend(name) is None:
+        pytest.skip(f"kernel backend {name!r} cannot run on this host")
+
+
+def assert_matches_oracle(cnf, sentence, backend) -> None:
+    packed = cyk_parse(cnf, sentence, backend=backend)
+    oracle = cyk_parse_sets(cnf, sentence)
+    assert packed.accepted == oracle.accepted, sentence
+    assert packed.chart_sets == oracle.chart_sets, sentence
+    assert packed.split_operations == oracle.split_operations, sentence
 
 
 class TestCFGBasics:
@@ -113,6 +138,20 @@ class TestCYK:
         cnf = to_cnf(balanced_brackets_cfg())
         assert cyk_parse(cnf, []).accepted
 
+    def test_tables_compiled_once_per_grammar(self, monkeypatch):
+        cnf = to_cnf(english_cfg())
+        cyk_parse(cnf, ["the", "dog", "runs"])
+        # A cached grammar never re-runs the CNF check or the table build.
+        monkeypatch.setattr(CFG, "is_cnf", lambda self: pytest.fail("recompiled"))
+        assert cyk_parse(cnf, ["the", "dog", "runs"]).accepted
+        assert cyk_parse_sets(cnf, ["the", "dog", "runs"]).accepted
+
+    def test_non_cnf_rejected_on_every_call(self):
+        grammar = anbn_cfg()
+        for parse in (cyk_parse, cyk_parse_sets, cyk_parse, cyk_parse_sets):
+            with pytest.raises(GrammarError, match="CNF"):
+                parse(grammar, [])
+
     def test_records_kernel_backend(self, monkeypatch):
         from repro.kernels.backend import ENV_VAR
 
@@ -124,22 +163,15 @@ class TestCYK:
 
 
 class TestCYKPackedVsSetOracle:
-    """Seeded sweep: the packed BMM chart must agree with the set-based
+    """Seeded sweep: the packed fence chart must agree with the set-based
     oracle bit for bit — accepted flag, every chart cell, and the
-    operation count — on every builtin CFG, for both kernel backends."""
-
-    GRAMMARS = {
-        "anbn": anbn_cfg,
-        "brackets": balanced_brackets_cfg,
-        "typed": typed_brackets_cfg,
-        "palindrome": palindrome_cfg,
-        "english": english_cfg,
-    }
+    operation count — on every builtin CFG, for every kernel backend."""
 
     @pytest.mark.parametrize("name", sorted(GRAMMARS))
-    @pytest.mark.parametrize("backend", ["packed", "numpy"])
+    @pytest.mark.parametrize("backend", CYK_BACKENDS)
     def test_sweep_matches_oracle(self, name, backend):
-        grammar = self.GRAMMARS[name]()
+        require_backend(backend)
+        grammar = GRAMMARS[name]()
         cnf = to_cnf(grammar)
         rng = random.Random(name)
         cases: list[list[str]] = [[]]
@@ -155,11 +187,92 @@ class TestCYKPackedVsSetOracle:
                 cases.append(shuffled)
         assert len(cases) >= 3
         for sentence in cases:
-            packed = cyk_parse(cnf, sentence, backend=backend)
-            oracle = cyk_parse_sets(cnf, sentence)
-            assert packed.accepted == oracle.accepted, sentence
-            assert packed.chart_sets == oracle.chart_sets, sentence
-            assert packed.split_operations == oracle.split_operations, sentence
+            assert_matches_oracle(cnf, sentence, backend)
+
+
+class TestCYKWordStraddlingFences:
+    """Sentences of 63-70 words: fence rows cover n+1 = 64-71 fence
+    positions, so they sit right at and across a 64-bit word boundary."""
+
+    LENGTHS = (63, 64, 65, 70)
+    #: Grammars whose sampled derivations reach these lengths.  anbn and
+    #: palindrome are linear: their derivations stay under ~30 words, so
+    #: their long cases are concatenations, which they reject.
+    REACHES_LONG = {"brackets", "english", "typed"}
+
+    @staticmethod
+    def sentences(grammar, n: int, seed: int) -> list[list[str]]:
+        """A derivation of exactly *n* words when sampling finds one, the
+        first *n* words of concatenated derivations, and both shuffled."""
+        rng = random.Random(f"{seed}:{n}")
+        exact = None
+        joined: list[str] = []
+        for _ in range(400):
+            words = random_derivation(grammar, rng, max_symbols=n)
+            if len(words) == n:
+                exact = words
+                break
+            if len(joined) < n:
+                joined += words
+        while len(joined) < n:
+            joined += random_derivation(grammar, rng, max_symbols=n)
+        cases = [joined[:n]] + ([exact] if exact is not None else [])
+        for case in list(cases):
+            shuffled = case[:]
+            rng.shuffle(shuffled)
+            cases.append(shuffled)
+        return cases
+
+    @pytest.mark.parametrize("name", sorted(GRAMMARS))
+    def test_long_sentences_match_oracle(self, name):
+        grammar = GRAMMARS[name]()
+        cnf = to_cnf(grammar)
+        backends = [b for b in CYK_BACKENDS if probe_backend(b) is not None]
+        accepted = 0
+        for n in self.LENGTHS:
+            for sentence in self.sentences(grammar, n, seed=len(name)):
+                assert len(sentence) == n
+                oracle = cyk_parse_sets(cnf, sentence)
+                accepted += oracle.accepted
+                for backend in backends:
+                    packed = cyk_parse(cnf, sentence, backend=backend)
+                    assert packed.accepted == oracle.accepted, (backend, n)
+                    assert packed.chart_sets == oracle.chart_sets, (backend, n)
+                    assert packed.split_operations == oracle.split_operations
+        assert accepted > 0 or name not in self.REACHES_LONG
+
+    def test_more_than_64_nonterminals(self):
+        # Cell memberships then span two words as well as fence rows.
+        productions = [("S", ("S", "A")), ("S", ("A", "A")), ("A", ("x",))]
+        productions += [(f"N{k}", ("x",)) for k in range(70)]
+        productions += [("S", ("N3", "N69")), ("N7", ("S", "N68"))]
+        cnf = CFG("S", productions)
+        sentence = ["x"] * 66
+        assert_matches_oracle(cnf, sentence, "packed")
+        result = cyk_parse(cnf, sentence)
+        assert result.accepted
+        assert len(result.chart_sets[0][0]) == 71
+        assert result.chart_sets[0][65] == {"S", "N7"}
+
+    @pytest.mark.parametrize("backend", CYK_BACKENDS)
+    def test_no_binary_rules_leaves_long_spans_empty(self, backend):
+        require_backend(backend)
+        cnf = CFG("S", [("S", ("a",)), ("S", ("b",)), ("A", ("a",))])
+        assert cnf.is_cnf()
+        rng = random.Random(7)
+        for n in self.LENGTHS:
+            sentence = [rng.choice("ab") for _ in range(n)]
+            result = cyk_parse(cnf, sentence, backend=backend)
+            assert not result.accepted
+            assert result.split_operations == 0
+            for i, row in enumerate(result.chart_sets):
+                for j, cell in enumerate(row):
+                    if j != i:
+                        assert cell == frozenset(), (i, j)
+                    else:
+                        expected = {"S", "A"} if sentence[i] == "a" else {"S"}
+                        assert cell == expected
+            assert_matches_oracle(cnf, sentence, backend)
 
 
 class TestEarley:

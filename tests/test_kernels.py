@@ -97,6 +97,56 @@ class TestBitops:
         assert bitops.and_accumulate(empty, empty) == 0
         assert bitops.pack_bits(np.zeros((0, 5), dtype=bool)).shape == (0, 1)
 
+    def test_set_bits_scatters_across_words_and_repeats(self):
+        words = np.zeros((3, 4, 2), dtype=bitops.WORD_DTYPE)
+        rows = (np.array([0, 2, 2, 2, 1]), np.array([1, 3, 3, 3, 0]))
+        bits = np.array([70, 0, 63, 63, 64])  # a repeated target, both words
+        bitops.set_bits(words, rows, bits)
+        expected = np.zeros((3, 4, 128), dtype=bool)
+        expected[rows + (bits,)] = True
+        np.testing.assert_array_equal(bitops.unpack_bits(words, 128), expected)
+        bitops.set_bits(words, (np.array([], int), np.array([], int)), np.array([], int))
+        assert bitops.count_ones(words) == 4
+
+
+#: Every kernel backend the row-pair primitive must agree on.
+ALL_BACKENDS = ["packed", "numpy", "native", "auto"]
+
+
+@pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+class TestRowsIntersect:
+    """``rows_intersect`` — CYK's span-combination step — on every
+    backend against ``(a & b).any()`` over the unpacked booleans."""
+
+    @pytest.fixture
+    def backend(self, backend_name):
+        backend = probe_backend(backend_name)
+        if backend is None:
+            pytest.skip(f"kernel backend {backend_name!r} cannot run on this host")
+        return backend
+
+    @pytest.mark.parametrize("n_bits", [1, 7, 63, 64, 65, 129])
+    def test_matches_reference_on_odd_widths(self, backend, n_bits):
+        rng = np.random.default_rng(n_bits)
+        for shape in ((n_bits,), (9, n_bits), (4, 6, n_bits)):
+            # Sparse rows, so both outcomes occur.
+            a = rng.random(shape) < 2.0 / n_bits
+            b = rng.random(shape) < 2.0 / n_bits
+            got = backend.rows_intersect(bitops.pack_bits(a), bitops.pack_bits(b))
+            np.testing.assert_array_equal(got, (a & b).any(axis=-1))
+
+    def test_one_word_rows(self, backend):
+        a = np.array([[0b0110], [0b1000], [0], [1 << 63]], dtype=bitops.WORD_DTYPE)
+        b = np.array([[0b0100], [0b0111], [~np.uint64(0)], [1 << 63]], dtype=bitops.WORD_DTYPE)
+        assert backend.rows_intersect(a, b).tolist() == [True, False, False, True]
+
+    def test_empty_operands(self, backend):
+        no_rows = np.zeros((0, 3), dtype=bitops.WORD_DTYPE)
+        assert backend.rows_intersect(no_rows, no_rows).shape == (0,)
+        no_words = np.zeros((2, 5, 0), dtype=bitops.WORD_DTYPE)
+        got = backend.rows_intersect(no_words, no_words)
+        assert got.shape == (2, 5) and not got.any()
+
 
 # ---------------------------------------------------------------------------
 # bmm
