@@ -25,12 +25,12 @@ is never set (and symmetrically for ``bwd``).  So the fences agree bit
 for bit with the length-by-length set-based chart
 (:func:`cyk_parse_sets`, kept as the oracle).
 
-This step replaces an earlier formulation that computed a full
-(n+1)x(n+1) Boolean matrix product ``bmm(F[B], F[C])`` per span length
-and child pair — the Valiant/Lee form — and then read one diagonal of
-it: n full products per pair where CYK needs one diagonal each.  The
-BMM reduction bounds sub-cubic *recursive* CFG parsing; a
-length-by-length loop only ever needs the diagonal.
+An earlier formulation computed a full (n+1)x(n+1) Boolean matrix
+product per span length and child pair — the Valiant/Lee form — and
+then read one diagonal of it: n full products per pair where CYK needs
+one diagonal each.  The BMM reduction bounds sub-cubic *recursive* CFG
+parsing; a length-by-length loop only ever needs the diagonal, which
+is why :mod:`repro.kernels` has no BMM kernel for it to call.
 
 The chart is read out of ``fwd``; each distinct cell membership becomes
 one shared frozenset.  ``split_operations`` counts the same (length,

@@ -1,29 +1,27 @@
-"""Boolean-linear-algebra kernels: the word-level core under both parsers.
+"""Word-level bit kernels: the one core under both parsers.
 
-Lee 1997 ("Fast Context-Free Parsing Requires Fast BMM", via Valiant)
-shows that sub-cubic CFG parsing is as hard as Boolean matrix
-multiplication.  This package owns every primitive that touches packed
-little-endian uint64 bit-planes, so the CDG side (consistency sweep,
-fused binary-mask apply) and the CFG side (packed CYK) run on one
-shared kernel core instead of three disconnected inner loops:
+The paper's log-time bound rests on two word-level operations, the
+segmented ``scanOr``/``scanAnd`` of consistency maintenance; CYK adds
+one more, its span-combination diagonal.  This package owns every
+primitive that touches packed little-endian uint64 bit-planes, so the
+CDG side (consistency sweep, fused binary-mask apply) and the CFG side
+(packed CYK) run on one shared kernel core:
 
 * :mod:`repro.kernels.bitops` — word-level primitives: popcounts,
   AND-accumulate with exact delta counting, segmented OR/popcount
   reductions, row/column clears, dense bit pack/unpack, bit scatter,
   and the row-pair intersection CYK's span step runs on.
-* :mod:`repro.kernels.bmm` — Boolean matrix multiplication over packed
-  words: a blocked four-Russians kernel and a plain-numpy bit-plane
-  fallback.  No parser calls it (CYK's span step is a diagonal, not a
-  product); the microbench and the autotuner still do.
 * :mod:`repro.kernels.backend` — the kernel-backend registry (mirrors
   :mod:`repro.engines.registry`): ``packed`` (default), ``numpy``
-  (bit-plane matmul oracle), ``native`` (compiled C via ctypes),
-  ``auto`` (profile-guided dispatch between the others) and a ``cupy``
-  scaffold — every optional backend falls back cleanly to ``packed``
-  when its substrate is absent.  Selected via the
-  ``REPRO_KERNEL_BACKEND`` environment variable or the ``backend=``
-  argument of :class:`repro.pipeline.session.ParserSession`; one
-  resolution rule (explicit > environment > default) lives in
+  (Boolean-matrix-product cross-check of the sweep), ``native``
+  (compiled C via ctypes) and ``auto`` (profile-guided dispatch
+  between the others).  Each backend provides ``rows_intersect``,
+  ``support_any``, ``and_accumulate`` and ``count_ones``; ``native``
+  falls back cleanly to ``packed`` on hosts without a C compiler.
+  Selected via the ``REPRO_KERNEL_BACKEND`` environment variable or
+  the ``backend=`` argument of
+  :class:`repro.pipeline.session.ParserSession`; one resolution rule
+  (explicit > environment > default) lives in
   :func:`repro.kernels.backend.resolve_backend_name`.
 * :mod:`repro.kernels.native` — the C source + on-demand ``cc`` build
   behind the ``native`` backend.
@@ -48,7 +46,6 @@ from repro.kernels.backend import (
     resolve_backend_name,
 )
 from repro.kernels.bitops import WORD_BITS, WORD_BYTES, WORD_DTYPE
-from repro.kernels.bmm import bmm_four_russians, bmm_planes, bmm_reference
 
 __all__ = [
     "KernelBackend",
@@ -63,7 +60,4 @@ __all__ = [
     "WORD_BITS",
     "WORD_BYTES",
     "WORD_DTYPE",
-    "bmm_four_russians",
-    "bmm_planes",
-    "bmm_reference",
 ]

@@ -1,16 +1,21 @@
 """Profile-guided kernel dispatch: the ``auto`` backend.
 
-The static backends trade places as operands grow — the bit-plane
-``numpy`` backend wins small Boolean matrix products where the
-four-Russians table build dominates, the ``packed``/``native`` blocked
-kernels win once the byte-gather amortizes — and the crossover point is
-a *host* property (cache sizes, BLAS build, compiler), not something a
-hard-coded threshold can capture.  :class:`AutoBackend` measures
-instead of guessing: the first call per (kernel, operand-size bucket)
-races every available backend on the **actual operands**, gates each
-candidate on bit-identity with the ``packed`` reference, caches the
-winner in an in-process dispatch table, and persists that table to a
-versioned JSON file so later processes skip the race entirely.
+``auto`` races the consistency sweep's kernels — ``support_any``,
+``and_accumulate`` and ``count_ones`` — across the backends that can
+run on this host.  Which one wins depends on operand size: ``native``
+pays a fixed ctypes marshalling cost per call that small operands never
+amortize, while ``packed`` pays numpy's per-call dispatch instead, and
+the ``numpy`` backend's matrix-product sweep allocates a
+byte-by-segment membership matrix per call.  Where they cross is a
+*host* property (cache sizes, numpy build, compiler), not something a
+hard-coded threshold can capture.  :class:`AutoBackend` measures instead of
+guessing: the first call per (kernel, operand-size bucket) races every
+available backend on the **actual operands**, gates each candidate on
+bit-identity with the ``packed`` reference, caches the winner in an
+in-process dispatch table, and persists that table to a versioned JSON
+file so later processes skip the race entirely.  CYK's
+``rows_intersect`` is not raced: every backend shares one
+implementation of it.
 
 Size buckets are powers of two over a per-kernel work measure (bit
 count touched), so one calibration covers the whole neighborhood of
@@ -48,8 +53,9 @@ from repro.kernels.backend import (
 #: Dispatch-table file override (default: ``~/.cache/repro/autotune.json``).
 ENV_CACHE = "REPRO_AUTOTUNE_CACHE"
 
-#: Persisted-table schema version; bump on any format change.
-CACHE_VERSION = 1
+#: Persisted-table schema version; bump on any format change.  Version
+#: 2 dropped the ``bmm:*`` buckets, so version-1 tables are ignored.
+CACHE_VERSION = 2
 
 #: Timing repetitions per candidate per race (best-of).
 _RACE_REPS = 2
@@ -95,7 +101,7 @@ class AutoBackend(KernelBackend):
     The candidate pool is whatever :func:`available_backends` can
     actually construct on this host (``auto`` itself excluded), so a
     toolchain-less machine transparently races ``packed`` against
-    ``numpy`` and a GPU-less machine never sees ``cupy``.
+    ``numpy`` only.
     """
 
     name = "auto"
@@ -242,32 +248,25 @@ class AutoBackend(KernelBackend):
             return None
         return probe_backend(name)
 
-    # -- kernel entry points ----------------------------------------------
+    def _route(self, kernel: str, work_bits: int, run, check_identity) -> KernelBackend:
+        """The backend that runs *kernel* on *work_bits* of work.
 
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        a = np.asarray(a_bits)
-        b = np.asarray(b_bits)
-        m = a.shape[0] if a.ndim == 2 else 0
-        k_rows = b.shape[0] if b.ndim == 2 else 0
-        n_words = b.shape[1] if b.ndim == 2 else 0
-        work = m * k_rows * n_words * 64
-        if work == 0:
-            return self._reference().bmm(a_bits, b_bits)
-        bucket = work_bucket(work)
-        chosen = self._dispatch("bmm", bucket)
-        if chosen is not None:
-            return chosen.bmm(a_bits, b_bits)
-        with self._lock:
-            chosen = self._dispatch("bmm", bucket)
-            if chosen is not None:
-                return chosen.bmm(a_bits, b_bits)
-            winner = self._race(
-                "bmm",
-                bucket,
-                lambda backend: backend.bmm(a_bits, b_bits),
-                lambda ref, got: np.array_equal(ref, got),
-            )
-        return winner.bmm(a_bits, b_bits)
+        Empty operands go straight to the reference.  Otherwise the
+        work's bucket is looked up, and raced (see :meth:`_race`) the
+        first time it is seen.
+        """
+        if work_bits == 0:
+            return self._reference()
+        bucket = work_bucket(work_bits)
+        chosen = self._dispatch(kernel, bucket)
+        if chosen is None:
+            with self._lock:
+                chosen = self._dispatch(kernel, bucket) or self._race(
+                    kernel, bucket, run, check_identity
+                )
+        return chosen
+
+    # -- kernel entry points ----------------------------------------------
 
     def support_any(
         self,
@@ -278,83 +277,40 @@ class AutoBackend(KernelBackend):
         out: "np.ndarray | None" = None,
     ) -> np.ndarray:
         matrix = np.asarray(matrix_words)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 0
-        n_words = matrix.shape[1] if matrix.ndim == 2 else 0
-        work = rows * n_words * 64
-        if work == 0:
-            return self._reference().support_any(
-                matrix_words, alive_words, seg_byte_starts, out=out
-            )
-        bucket = work_bucket(work)
-        chosen = self._dispatch("support_any", bucket)
-        if chosen is not None:
-            return chosen.support_any(
-                matrix_words, alive_words, seg_byte_starts, out=out
-            )
-        with self._lock:
-            chosen = self._dispatch("support_any", bucket)
-            if chosen is not None:
-                return chosen.support_any(
-                    matrix_words, alive_words, seg_byte_starts, out=out
-                )
-            winner = self._race(
-                "support_any",
-                bucket,
-                lambda backend: backend.support_any(
-                    matrix_words, alive_words, seg_byte_starts
-                ),
-                lambda ref, got: np.array_equal(ref, got),
-            )
-        return winner.support_any(matrix_words, alive_words, seg_byte_starts, out=out)
+        work = matrix.shape[0] * matrix.shape[1] * 64 if matrix.ndim == 2 else 0
+        backend = self._route(
+            "support_any",
+            work,
+            lambda candidate: candidate.support_any(
+                matrix_words, alive_words, seg_byte_starts
+            ),
+            np.array_equal,
+        )
+        return backend.support_any(matrix_words, alive_words, seg_byte_starts, out=out)
 
     def and_accumulate(self, target_words: np.ndarray, mask_words: np.ndarray) -> int:
-        work = int(np.asarray(target_words).size) * 64
-        if work == 0:
-            return self._reference().and_accumulate(target_words, mask_words)
-        bucket = work_bucket(work)
-        chosen = self._dispatch("and_accumulate", bucket)
-        if chosen is not None:
-            return chosen.and_accumulate(target_words, mask_words)
-        with self._lock:
-            chosen = self._dispatch("and_accumulate", bucket)
-            if chosen is not None:
-                return chosen.and_accumulate(target_words, mask_words)
-            # In-place kernel: each racer mutates its own pristine copy,
-            # and only the winner's re-run lands in the caller's array.
-            pristine = np.array(target_words, copy=True)
+        # In-place kernel: each racer mutates its own pristine copy, and
+        # only the chosen backend's call lands in the caller's array.
+        def run(candidate: KernelBackend):
+            work_copy = np.array(target_words, copy=True)
+            return candidate.and_accumulate(work_copy, mask_words), work_copy
 
-            def run(backend: KernelBackend):
-                work_copy = pristine.copy()
-                delta = backend.and_accumulate(work_copy, mask_words)
-                return (delta, work_copy)
-
-            winner = self._race(
-                "and_accumulate",
-                bucket,
-                run,
-                lambda ref, got: ref[0] == got[0] and np.array_equal(ref[1], got[1]),
-            )
-        return winner.and_accumulate(target_words, mask_words)
+        backend = self._route(
+            "and_accumulate",
+            int(np.asarray(target_words).size) * 64,
+            run,
+            lambda ref, got: ref[0] == got[0] and np.array_equal(ref[1], got[1]),
+        )
+        return backend.and_accumulate(target_words, mask_words)
 
     def count_ones(self, words: np.ndarray) -> int:
-        work = int(np.asarray(words).size) * 64
-        if work == 0:
-            return bitops.count_ones(np.asarray(words))
-        bucket = work_bucket(work)
-        chosen = self._dispatch("count_ones", bucket)
-        if chosen is not None:
-            return chosen.count_ones(words)
-        with self._lock:
-            chosen = self._dispatch("count_ones", bucket)
-            if chosen is not None:
-                return chosen.count_ones(words)
-            winner = self._race(
-                "count_ones",
-                bucket,
-                lambda backend: backend.count_ones(words),
-                lambda ref, got: ref == got,
-            )
-        return winner.count_ones(words)
+        backend = self._route(
+            "count_ones",
+            int(np.asarray(words).size) * 64,
+            lambda candidate: candidate.count_ones(words),
+            lambda ref, got: ref == got,
+        )
+        return backend.count_ones(words)
 
     # -- introspection / warm-up ------------------------------------------
 
@@ -366,16 +322,11 @@ class AutoBackend(KernelBackend):
     def warm(self, *, quick: bool = False, seed: int = 0) -> dict[str, str]:
         """Calibrate representative operand sizes ahead of real traffic.
 
-        The ``repro calibrate`` CLI and the BMM bench both call this so
-        a fresh host pays the race cost once, offline, instead of
+        The ``repro calibrate`` CLI and the kernel bench both call this
+        so a fresh host pays the race cost once, offline, instead of
         inside the first parse.  Returns the dispatch table.
         """
         rng = np.random.default_rng(seed)
-        cubes = (64, 128) if quick else (64, 128, 256, 512)
-        for n in cubes:
-            a = bitops.pack_bits(rng.random((n, n)) < 0.25)
-            b = bitops.pack_bits(rng.random((n, n)) < 0.25)
-            self.bmm(a, b)
         widths = (256,) if quick else (256, 2048, 16384)
         for cols in widths:
             rows = max(cols // 8, 8)

@@ -2,10 +2,10 @@
 
 Mirrors :mod:`repro.engines.registry`: the CLI, ``ParserSession`` and
 the benchmarks resolve kernel backends through one table, so adding a
-native/GPU backend is one :func:`register_backend` call.  Unlike the
-engine registry, resolution has a fallback contract: a *registered but
-unavailable* backend (e.g. ``cupy`` without CuPy installed) raises
-:class:`KernelBackendUnavailable` from its factory, and
+backend is one :func:`register_backend` call.  Unlike the engine
+registry, resolution has a fallback contract: a *registered but
+unavailable* backend (e.g. ``native`` on a host without a C compiler)
+raises :class:`KernelBackendUnavailable` from its factory, and
 :func:`create_backend` warns and falls back to the default ``packed``
 backend instead of failing the parse.
 
@@ -18,14 +18,9 @@ name (including the warn-once fallback instance for unavailable
 backends), so repeated resolution — one per network bind on the hot
 path — is a dict hit.
 
-A backend provides the Boolean-linear-algebra surface both parsers run
-on:
+A backend provides the word-level surface both parsers run on — the
+paper's ``scanOr``/``scanAnd`` sweep plus CYK's span step:
 
-* ``bmm(a_bits, b_bits)`` — packed Boolean matrix product.  No parser
-  calls it: CYK used to combine spans with one full product per span
-  length and read a single diagonal of it, and now runs that diagonal
-  directly through ``rows_intersect``.  It stays for the kernel
-  microbench and the autotuner's races.
 * ``rows_intersect(a_words, b_words)`` — does each packed row pair
   share a set bit?  CYK's span-combination step: one call per span
   length covers every child pair and every start.  The default
@@ -51,7 +46,6 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.kernels import bitops
-from repro.kernels.bmm import _check_operands, bmm_four_russians, bmm_planes
 
 #: Environment variable consulted when no explicit backend is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -63,8 +57,8 @@ DEFAULT_BACKEND = "packed"
 class KernelBackendUnavailable(ReproError):
     """A registered kernel backend cannot run on this host.
 
-    Raised by backend *factories* (e.g. the CuPy scaffold when CuPy is
-    not installed); :func:`create_backend` catches it and falls back to
+    Raised by backend *factories* (e.g. ``native`` when no C compiler
+    is installed); :func:`create_backend` catches it and falls back to
     the default backend with a warning.
     """
 
@@ -75,8 +69,35 @@ class KernelBackend:
     name = "abstract"
 
     def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        """Packed Boolean matrix product (see :mod:`repro.kernels.bmm`)."""
-        raise NotImplementedError
+        """Packed Boolean matrix product ``C[i, j] = OR_k A[i, k] AND B[k, j]``.
+
+        ``a_bits`` is ``(m, a_words)`` with bit *k* of row *i* = ``A[i, k]``
+        (bits at ``k >= k_rows`` zero); ``b_bits`` is ``(k_rows, n_words)``;
+        the result is ``(m, n_words)``, packed like ``b_bits``.  Computed
+        as a bit-plane ``bool @ bool`` product.
+
+        No parser calls this.  It stays, on the base class only, because
+        reprobench's ``TracingBackend`` binds ``inner.bmm`` when it is
+        constructed; a benchmark change can drop both together.
+        """
+        a = np.ascontiguousarray(np.asarray(a_bits, dtype=bitops.WORD_DTYPE))
+        b = np.ascontiguousarray(np.asarray(b_bits, dtype=bitops.WORD_DTYPE))
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError(
+                f"bmm operands must be 2-D packed word arrays, got shapes "
+                f"{a.shape} and {b.shape}"
+            )
+        k_rows, n_words = b.shape
+        if a.shape[1] * bitops.WORD_BITS < k_rows:
+            raise ValueError(
+                f"bmm inner dimensions disagree: A packs "
+                f"{a.shape[1] * bitops.WORD_BITS} bit columns but B has {k_rows} rows"
+            )
+        if n_words == 0:
+            return np.zeros((a.shape[0], 0), dtype=bitops.WORD_DTYPE)
+        a_plane = bitops.unpack_bits(a, a.shape[1] * bitops.WORD_BITS)[:, :k_rows]
+        b_plane = bitops.unpack_bits(b, n_words * bitops.WORD_BITS)
+        return bitops.pack_bits(a_plane @ b_plane)  # bool @ bool: Boolean semiring
 
     def support_any(
         self,
@@ -113,12 +134,9 @@ class KernelBackend:
 
 
 class PackedBackend(KernelBackend):
-    """Word-at-a-time kernels: four-Russians BMM, reduceat sweeps."""
+    """Word-at-a-time kernels: word-wide ANDs, reduceat sweeps."""
 
     name = "packed"
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        return bmm_four_russians(a_bits, b_bits)
 
     def support_any(
         self,
@@ -133,18 +151,15 @@ class PackedBackend(KernelBackend):
 
 
 class PlanesBackend(KernelBackend):
-    """Bit-plane fallback: plain numpy matmuls in the Boolean semiring.
+    """Bit-plane cross-check: ``support_any`` as a Boolean matrix product.
 
-    Slower and allocation-heavier than ``packed``, but every operation
-    is a literal Boolean matrix product — the form Lee's reduction talks
-    about, and the form a dense-linear-algebra accelerator implements —
-    so it doubles as the cross-check oracle for the word-level kernels.
+    Slower and allocation-heavier than ``packed``, but its sweep is a
+    literal Boolean matrix product — the form Lee's reduction talks
+    about — so it doubles as the cross-check oracle for the word-level
+    kernels.
     """
 
     name = "numpy"
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        return bmm_planes(a_bits, b_bits)
 
     def support_any(
         self,
@@ -166,51 +181,6 @@ class PlanesBackend(KernelBackend):
         )
         membership = seg_of_byte[:, None] == np.arange(len(seg_byte_starts))[None, :]
         return nonzero8 @ membership
-
-
-class CuPyBackend(KernelBackend):  # pragma: no cover - requires CuPy
-    """GPU scaffold: bit-plane matmul on the device, pack/unpack on host.
-
-    Registered so ``REPRO_KERNEL_BACKEND=cupy`` resolves; on hosts
-    without CuPy the factory raises :class:`KernelBackendUnavailable`
-    and resolution falls back to ``packed``.
-    """
-
-    name = "cupy"
-
-    def __init__(self):
-        import cupy  # raises ImportError when absent; factory translates
-
-        self._cp = cupy
-
-    def bmm(self, a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-        cp = self._cp
-        a, b = _check_operands(a_bits, b_bits)
-        k_rows, n_words = b.shape[0], b.shape[1]
-        if a.shape[0] == 0 or k_rows == 0 or n_words == 0:
-            return np.zeros((a.shape[0], n_words), dtype=bitops.WORD_DTYPE)
-        a_plane = cp.asarray(
-            bitops.unpack_bits(a, a.shape[1] * bitops.WORD_BITS)[:, :k_rows],
-            dtype=cp.float32,
-        )
-        b_plane = cp.asarray(
-            bitops.unpack_bits(b, n_words * bitops.WORD_BITS), dtype=cp.float32
-        )
-        product = cp.asnumpy(a_plane @ b_plane) > 0.5
-        return bitops.pack_bits(product)
-
-    def support_any(self, matrix_words, alive_words, seg_byte_starts, *, out=None):
-        # The sweep is reduction-bound, not matmul-bound; run it packed.
-        return PackedBackend().support_any(
-            matrix_words, alive_words, seg_byte_starts, out=out
-        )
-
-
-def _cupy_factory() -> KernelBackend:
-    try:
-        return CuPyBackend()
-    except ImportError:
-        raise KernelBackendUnavailable("cupy is not installed") from None
 
 
 def _native_factory() -> KernelBackend:
@@ -365,6 +335,5 @@ def _ensure_builtin() -> None:
         return
     _REGISTRY.setdefault("packed", PackedBackend)
     _REGISTRY.setdefault("numpy", PlanesBackend)
-    _REGISTRY.setdefault("cupy", _cupy_factory)
     _REGISTRY.setdefault("native", _native_factory)
     _REGISTRY.setdefault("auto", _auto_factory)

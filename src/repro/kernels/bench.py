@@ -1,41 +1,26 @@
-"""BMM — the shared kernel core measured: microbench + both parsers on it.
+"""The shared kernel core measured: both parsers on every backend.
 
-The kernel extraction's claims, in falsifiability order:
+The kernel core's claims, in falsifiability order:
 
 * **Bit-identity** (always checkable, gated before any timing):
 
-  - the four-Russians product, the bit-plane (``bool @ bool``) product
-    and the O(m·k·n) broadcast oracle agree on every microbench
-    operand;
-  - a CDG parse on the ``packed`` backend and on the ``numpy`` backend
-    settles to the same packed network, word for word;
-  - the packed fence CYK and the pre-kernel set-based chart agree on
-    the accepted flag, every chart cell, and the operation count.
+  - a CDG parse settles to the same packed network, word for word, on
+    every kernel backend that can run here;
+  - the packed fence CYK on every backend and the pre-kernel set-based
+    chart agree on the accepted flag, every chart cell, and the
+    operation count.
 
   A record whose identity sweep fails is written with ``ok: false``
   and no timing section is trusted (the standalone runner exits 1).
-
-* **Kernel throughput** (host-relative): per matrix size, best-of
-  wall-clock of the BMM implementations — four-Russians, bit-plane
-  ``bool @ bool``, the compiled ``native`` backend (when the host can
-  build it) and the profile-guided ``auto`` dispatcher (timed *after*
-  its calibration race, so the row shows steady-state dispatch, and
-  gated on bit-identity like everything else).  The size grid brackets
-  the packed/planes crossover on purpose.  The broadcast oracle
-  materializes an m·k·n intermediate, so full runs cap its size and
-  the record says so (``naive_capped_at``) instead of silently
-  claiming coverage.  The record embeds the autotuner's dispatch table
-  (``kernel_dispatch``) so the routing behind the ``auto`` rows is
-  inspectable.
 
 * **End-to-end** (host-relative): the same sentence through a CDG
   :class:`~repro.pipeline.session.ParserSession` per kernel backend,
   and sentences of :data:`CFG_LENGTHS` words through packed CYK per
   backend versus the set-based chart — one table showing both parsers
-  riding the one kernel core.  CYK no longer calls ``bmm`` (its span
-  combination is the diagonal ``rows_intersect`` step, see
-  :mod:`repro.cfg.cyk`), so its rows time that step, not the products
-  above.
+  riding the one kernel core.  ``auto`` rows are timed after a warm-up
+  call, so they show steady-state dispatch, and the record embeds the
+  autotuner's dispatch table (``kernel_dispatch``) so the routing
+  behind them is inspectable.
 
 All timings are single-core wall clock; the record embeds
 :func:`repro.analysis.host.host_metadata` so numbers are read against
@@ -43,9 +28,9 @@ the host that produced them, and no cross-host scaling claim is made.
 
 Run standalone to (re)generate the committed record::
 
-    PYTHONPATH=src python -m repro bench-bmm [--quick]
+    PYTHONPATH=src python -m repro bench-kernels [--quick]
 
-which writes ``BENCH_bmm.json`` at the repo root.
+which writes ``BENCH_kernels.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -57,28 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.host import host_metadata
-from repro.kernels import bitops
 from repro.kernels.backend import probe_backend
-from repro.kernels.bmm import bmm_four_russians, bmm_planes, bmm_reference
-
-#: Microbench operand shapes (m, k, n).  Deliberately not all square
-#: and not all word-aligned (the padding discipline is part of what is
-#: being timed), and dense enough around 128-384 to bracket the
-#: packed/planes/native crossover points the autotuner dispatches on.
-SIZES = (
-    (64, 64, 64),
-    (96, 96, 96),
-    (128, 128, 128),
-    (192, 192, 192),
-    (250, 250, 250),
-    (384, 384, 384),
-    (512, 512, 512),
-)
-QUICK_SIZES = ((64, 64, 64), (130, 130, 130))
-
-#: Largest dimension product the broadcast oracle is timed at (its
-#: m·k·n boolean intermediate is the memory hog).
-NAIVE_CAP = 256**3
 
 REPEATS = 3
 QUICK_REPEATS = 2
@@ -95,57 +59,6 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _micro_identity_and_timing(sizes, repeats: int) -> tuple[bool, list[dict]]:
-    rows = []
-    ok = True
-    rng = np.random.default_rng(8)
-    native = probe_backend("native")
-    auto = probe_backend("auto")
-    for m, k, n in sizes:
-        a_plane = rng.random((m, k)) < 0.3
-        b_plane = rng.random((k, n)) < 0.3
-        a_bits = bitops.pack_bits(a_plane)
-        b_bits = bitops.pack_bits(b_plane)
-        expected = bmm_reference(a_plane, b_plane)
-        four = bmm_four_russians(a_bits, b_bits)
-        planes = bmm_planes(a_bits, b_bits)
-        identical = bool(
-            np.array_equal(bitops.unpack_bits(four, n), expected)
-            and np.array_equal(four, planes)
-        )
-        row = {
-            "shape": [m, k, n],
-            "four_russians_ms": round(
-                _best_of(lambda: bmm_four_russians(a_bits, b_bits), repeats) * 1e3, 4
-            ),
-            "planes_ms": round(
-                _best_of(lambda: bmm_planes(a_bits, b_bits), repeats) * 1e3, 4
-            ),
-        }
-        if native is not None:
-            identical = identical and bool(
-                np.array_equal(native.bmm(a_bits, b_bits), four)
-            )
-            row["native_ms"] = round(
-                _best_of(lambda: native.bmm(a_bits, b_bits), repeats) * 1e3, 4
-            )
-        if auto is not None:
-            # The first call calibrates this size bucket; the timed
-            # runs after it measure steady-state dispatch.
-            identical = identical and bool(np.array_equal(auto.bmm(a_bits, b_bits), four))
-            row["auto_ms"] = round(
-                _best_of(lambda: auto.bmm(a_bits, b_bits), repeats) * 1e3, 4
-            )
-        row["identical"] = identical
-        ok = ok and identical
-        if m * k * n <= NAIVE_CAP:
-            row["naive_ms"] = round(
-                _best_of(lambda: bmm_reference(a_plane, b_plane), repeats) * 1e3, 4
-            )
-        rows.append(row)
-    return ok, rows
 
 
 def _session_backends() -> tuple[str, ...]:
@@ -235,33 +148,27 @@ def _cfg_end_to_end(repeats: int) -> tuple[bool, list[dict]]:
 
 def run_bench(*, quick: bool = False, out_path: "Path | str | None" = None) -> dict:
     """Run the identity-gated kernel benchmark; optionally write JSON."""
-    sizes = QUICK_SIZES if quick else SIZES
     repeats = QUICK_REPEATS if quick else REPEATS
-    micro_ok, micro = _micro_identity_and_timing(sizes, repeats)
     cdg_ok, cdg = _cdg_end_to_end(7 if quick else 10, repeats, batch=4)
     cfg_ok, cfg = _cfg_end_to_end(repeats)
     auto = probe_backend("auto")
     record = {
-        "bench": "bmm",
+        "bench": "kernels",
         "quick": quick,
         "host": host_metadata(),
         "backends": list(_session_backends()),
         "kernel_dispatch": auto.dispatch_snapshot() if auto is not None else None,
         "bit_identity": {
-            "ok": micro_ok and cdg_ok and cfg_ok,
-            "micro": micro_ok,
-            "cdg_packed_vs_numpy": cdg_ok,
+            "ok": cdg_ok and cfg_ok,
+            "cdg_across_backends": cdg_ok,
             "cyk_packed_vs_sets": cfg_ok,
         },
-        "micro": micro,
-        "naive_capped_at": NAIVE_CAP,
         "end_to_end": {"cdg": cdg, "cfg": cfg},
         "notes": (
             "single-core wall clock on the recorded host; bit-identity "
-            "asserted before timing; the broadcast oracle is only timed "
-            "up to naive_capped_at elements; CYK no longer calls bmm -- "
-            "its span combination is one rows_intersect call per span "
-            "length, so the cfg rows time that step, not these products"
+            "asserted before timing; cdg rows time one warm ParserSession "
+            "parse per backend, cfg rows one cyk_parse per backend against "
+            "the set-based chart"
         ),
     }
     if out_path is not None:
@@ -273,39 +180,8 @@ def print_report(record: dict, out) -> None:
     """Render *record* as the terminal tables the harness snapshots."""
     from repro.analysis import format_table
 
-    has_native = any("native_ms" in row for row in record["micro"])
-    has_auto = any("auto_ms" in row for row in record["micro"])
-    headers = ["shape", "identical", "four-Russians ms", "bool@bool ms"]
-    if has_native:
-        headers.append("native ms")
-    if has_auto:
-        headers.append("auto ms")
-    headers.append("naive ms")
-    rows = []
-    for row in record["micro"]:
-        m, k, n = row["shape"]
-        line = [
-            f"{m}x{k}x{n}",
-            "yes" if row["identical"] else "NO",
-            row["four_russians_ms"],
-            row["planes_ms"],
-        ]
-        if has_native:
-            line.append(row.get("native_ms", "-"))
-        if has_auto:
-            line.append(row.get("auto_ms", "-"))
-        line.append(row.get("naive_ms", "capped"))
-        rows.append(line)
-    print(
-        format_table(
-            headers,
-            rows,
-            title=f"BMM microbench ({record['host']['cpu_count']} CPU host)",
-        ),
-        file=out,
-    )
     cdg = record["end_to_end"]["cdg"]
-    backends = record.get("backends") or ["packed", "numpy"]
+    backends = record["backends"]
     parser_headers = ["parser", "identical", *[f"{b} ms" for b in backends], "oracle ms"]
     parser_rows = [
         [
@@ -326,7 +202,10 @@ def print_report(record: dict, out) -> None:
         )
     print(
         format_table(
-            parser_headers, parser_rows, title="Both parsers on the shared kernel core"
+            parser_headers,
+            parser_rows,
+            title=f"Both parsers on the shared kernel core "
+            f"({record['host']['cpu_count']} CPU host)",
         ),
         file=out,
     )

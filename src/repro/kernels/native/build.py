@@ -161,13 +161,6 @@ def _declare_signatures(lib: ctypes.CDLL) -> None:
     i64p = ctypes.POINTER(ctypes.c_int64)
     size_t = ctypes.c_size_t
 
-    lib.repro_bmm.argtypes = [
-        u64p, size_t, size_t,  # a, m, a_words
-        u64p, size_t, size_t,  # b, k_rows, n_words
-        u64p, u64p,  # out, table scratch
-    ]
-    lib.repro_bmm.restype = None
-
     lib.repro_support_any.argtypes = [
         u64p, size_t, size_t,  # matrix, rows, n_words
         u64p,  # alive

@@ -157,14 +157,18 @@ class TestKernelBackendFlag:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown kernel backend 'abacus'" in err
-        for name in ("packed", "numpy", "cupy"):
-            assert name in err
+        assert "available: auto, native, numpy, packed" in err
 
-    def test_bench_bmm_quick_writes_record(self, tmp_path):
-        out_path = tmp_path / "BENCH_bmm.json"
-        code, text = run_cli(["bench-bmm", "--quick", "--out", str(out_path)])
+    def test_retired_cupy_backend_is_unknown(self, capsys):
+        code, _ = run_cli(["parse", "the dog runs", "--kernel-backend", "cupy"])
+        assert code == 2
+        assert "unknown kernel backend 'cupy'" in capsys.readouterr().err
+
+    def test_bench_kernels_quick_writes_record(self, tmp_path):
+        out_path = tmp_path / "BENCH_kernels.json"
+        code, text = run_cli(["bench-kernels", "--quick", "--out", str(out_path)])
         assert code == 0
-        assert "BMM microbench" in text
+        assert "Both parsers on the shared kernel core" in text
         import json
 
         record = json.loads(out_path.read_text())

@@ -1,18 +1,17 @@
-"""The extracted kernel core: bitops, BMM, and the backend registry.
-
-Three layers:
+"""The extracted kernel core: bitops and the backend registry.
 
 * :mod:`repro.kernels.bitops` — dense pack/unpack, single-bit access,
   and the word-level primitives, checked against plain boolean numpy
   over shapes with NV % 64 != 0 trailing words;
-* :mod:`repro.kernels.bmm` — the four-Russians product and the
-  bit-plane product agree with the broadcast-any reference over
-  non-square, empty, and padding-heavy operands;
+* every backend's ``rows_intersect`` and inherited ``bmm`` against
+  boolean references over non-square, empty and word-straddling
+  operands;
 * :mod:`repro.kernels.backend` — registry resolution (env var,
   explicit name, instance passthrough), the unavailable-backend
   fallback contract, and end-to-end bit-identity of ``packed`` vs
-  ``numpy`` across every registered engine, plus the deprecation shims
-  left behind in :mod:`repro.network.bitset`.
+  ``numpy`` across every registered engine;
+* the ``native`` backend's C boundary and the ``auto`` backend's
+  calibration races and persisted dispatch table.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from repro.kernels.backend import (
     reset_backend_cache,
     resolve_backend_name,
 )
-from repro.kernels.bmm import bmm_four_russians, bmm_planes, bmm_reference
 from repro.kernels import autotune
+from repro.kernels import backend as backend_mod
 from repro.kernels.native import build as native_build
 from repro.network import bitset
 from repro.network.bitset import BitLayout
@@ -52,6 +51,11 @@ from repro.pipeline.session import ParserSession
 
 def random_bools(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.random(shape) < 0.5
+
+
+def bmm_reference(a_plane: np.ndarray, b_plane: np.ndarray) -> np.ndarray:
+    """O(m*k*n) broadcast Boolean matrix product on boolean planes."""
+    return (a_plane[:, :, None] & b_plane[None, :, :]).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +169,22 @@ BMM_SHAPES = [
 
 
 class TestBMM:
+    """``bmm`` — one base-class bit-plane product every backend inherits."""
+
     @pytest.mark.parametrize("shape", BMM_SHAPES, ids=str)
-    @pytest.mark.parametrize("kernel", [bmm_four_russians, bmm_planes])
-    def test_matches_reference(self, shape, kernel):
+    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+    def test_matches_reference(self, shape, backend_name):
+        backend = probe_backend(backend_name)
+        if backend is None:
+            pytest.skip(f"kernel backend {backend_name!r} cannot run on this host")
         m, k, n = shape
         rng = np.random.default_rng(m * 1000 + k * 10 + n)
         a_plane = random_bools(rng, (m, k))
         b_plane = random_bools(rng, (k, n))
-        a_bits = bitops.pack_bits(a_plane)
         b_bits = bitops.pack_bits(b_plane)
-        out = kernel(a_bits, b_bits)
+        out = backend.bmm(bitops.pack_bits(a_plane), b_bits)
         expected = bmm_reference(a_plane, b_plane)
+        assert out.shape == (m, b_bits.shape[1])
         np.testing.assert_array_equal(bitops.unpack_bits(out, n), expected)
         # Non-square + NV % 64 != 0: padding in the product must stay
         # clear, or downstream popcounts drift.
@@ -185,24 +194,38 @@ class TestBMM:
         a = np.zeros((2, 1), dtype=bitops.WORD_DTYPE)
         b = np.zeros((100, 1), dtype=bitops.WORD_DTYPE)
         with pytest.raises(ValueError):
-            bmm_four_russians(a, b)
+            PackedBackend().bmm(a, b)
 
     def test_rejects_non_2d(self):
         a = np.zeros(1, dtype=bitops.WORD_DTYPE)
         with pytest.raises(ValueError):
-            bmm_four_russians(a, a)
+            PackedBackend().bmm(a, a)
 
 
 # ---------------------------------------------------------------------------
 # backend registry
 
 
+#: A backend registered by the tests whose factory never succeeds.
+UNAVAILABLE = "test-unavailable"
+
+
+@pytest.fixture
+def unavailable_backend():
+    """Register :data:`UNAVAILABLE`; drop it (and its memo) afterwards."""
+
+    def factory() -> KernelBackend:
+        raise KernelBackendUnavailable("test backend never available")
+
+    register_backend(UNAVAILABLE, factory)
+    yield UNAVAILABLE
+    backend_mod._REGISTRY.pop(UNAVAILABLE, None)
+    backend_mod._INSTANCES.pop(UNAVAILABLE, None)
+
+
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        names = available_backends()
-        assert "packed" in names
-        assert "numpy" in names
-        assert "cupy" in names
+        assert available_backends() == ("auto", "native", "numpy", "packed")
 
     def test_unknown_name_raises_and_lists_available(self):
         with pytest.raises(ReproError, match="packed"):
@@ -221,34 +244,20 @@ class TestBackendRegistry:
         assert create_backend(None).name == "numpy"
         assert default_backend().name == "numpy"
 
-    def test_unavailable_backend_falls_back_with_warning(self):
-        # CuPy is not installed in this environment, so the scaffold
-        # exercises the real fallback path.
-        reset_backend_cache("cupy")
+    def test_unavailable_backend_falls_back_with_warning(self, unavailable_backend):
         with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = create_backend("cupy")
+            backend = create_backend(unavailable_backend)
         assert backend.name == DEFAULT_BACKEND
         # The fallback instance is memoized under the requested name:
         # exactly one warning per process, later calls are silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert create_backend("cupy") is backend
-        reset_backend_cache("cupy")
+            assert create_backend(unavailable_backend) is backend
 
-    def test_registered_unavailable_backend_falls_back(self):
-        def factory() -> KernelBackend:
-            raise KernelBackendUnavailable("test backend never available")
-
-        register_backend("always-unavailable", factory)
-        try:
-            with pytest.warns(RuntimeWarning, match="always-unavailable"):
-                backend = create_backend("always-unavailable")
-            assert backend.name == DEFAULT_BACKEND
-        finally:
-            from repro.kernels import backend as backend_mod
-
-            backend_mod._REGISTRY.pop("always-unavailable", None)
-            backend_mod._INSTANCES.pop("always-unavailable", None)
+    def test_registered_unavailable_backend_falls_back(self, unavailable_backend):
+        with pytest.warns(RuntimeWarning, match=unavailable_backend):
+            backend = create_backend(unavailable_backend)
+        assert backend.name == DEFAULT_BACKEND
 
     def test_resolution_order_explicit_env_default(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
@@ -276,11 +285,10 @@ class TestBackendRegistry:
         assert "native" in names
         assert "auto" in names
 
-    def test_probe_returns_none_without_fallback(self):
-        reset_backend_cache("cupy")
+    def test_probe_returns_none_without_fallback(self, unavailable_backend):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert probe_backend("cupy") is None
+            assert probe_backend(unavailable_backend) is None
             assert probe_backend("no-such-backend") is None
         assert probe_backend(DEFAULT_BACKEND) is not None
 
@@ -306,57 +314,6 @@ class TestBackendRegistry:
             [live[:, sl].any(axis=1) for sl in role_slices], axis=1
         )
         np.testing.assert_array_equal(packed, expected)
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims
-
-
-class TestBitsetShims:
-    def test_moved_kernels_warn_and_delegate(self):
-        layout = BitLayout((slice(0, 5), slice(5, 70)))
-        rng = np.random.default_rng(4)
-        bools = random_bools(rng, layout.nv)
-        words = bitset.pack_rows(bools, layout)
-        with pytest.warns(DeprecationWarning, match="repro.kernels.bitops"):
-            assert bitset.count_ones(words) == int(bools.sum())
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                bitset.segment_counts(words, layout),
-                bitops.segment_counts(words, layout.seg_byte_starts),
-            )
-        matrix = bitset.pack_rows(random_bools(rng, (3, layout.nv)), layout)
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                bitset.or_segments(matrix, layout),
-                bitops.or_segments(matrix, layout.seg_byte_starts),
-            )
-
-    def test_and_accumulate_and_clear_shims(self):
-        layout = BitLayout((slice(0, 66),))
-        rng = np.random.default_rng(5)
-        target = bitset.pack_rows(random_bools(rng, layout.nv), layout)
-        mask = bitset.pack_rows(random_bools(rng, layout.nv), layout)
-        oracle_target = target.copy()
-        with pytest.warns(DeprecationWarning):
-            removed = bitset.and_accumulate(target, mask)
-        assert removed == bitops.and_accumulate(oracle_target, mask)
-        np.testing.assert_array_equal(target, oracle_target)
-
-        alive = bitset.pack_rows(np.ones(layout.nv, dtype=bool), layout)
-        matrix = bitset.pack_rows(
-            random_bools(rng, (layout.nv, layout.nv)), layout
-        )
-        oracle_alive = alive.copy()
-        oracle_matrix = matrix.copy()
-        indices = np.array([1, 64, 65], dtype=np.intp)
-        with pytest.warns(DeprecationWarning):
-            bitset.clear_rows_and_columns(alive, matrix, indices, layout)
-        bitops.clear_rows_and_columns(
-            oracle_alive, oracle_matrix, indices, bitset.keep_mask(indices, layout)
-        )
-        np.testing.assert_array_equal(alive, oracle_alive)
-        np.testing.assert_array_equal(matrix, oracle_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +375,6 @@ def no_toolchain(monkeypatch, tmp_path):
 
 @requires_compiler
 class TestNativeBackend:
-    @pytest.mark.parametrize("shape", BMM_SHAPES, ids=str)
-    def test_bmm_matches_reference(self, shape):
-        m, k, n = shape
-        rng = np.random.default_rng(m * 1000 + k * 10 + n)
-        a_plane = random_bools(rng, (m, k))
-        b_plane = random_bools(rng, (k, n))
-        a_bits = bitops.pack_bits(a_plane)
-        b_bits = bitops.pack_bits(b_plane)
-        native = create_backend("native")
-        out = native.bmm(a_bits, b_bits)
-        np.testing.assert_array_equal(out, bmm_four_russians(a_bits, b_bits))
-        expected = bmm_reference(a_plane, b_plane)
-        np.testing.assert_array_equal(bitops.unpack_bits(out, n), expected)
-        # Product padding must stay clear or downstream popcounts drift.
-        assert bitops.count_ones(out) == int(expected.sum())
-
     def test_support_any_matches_packed(self):
         role_slices = (slice(0, 5), slice(5, 17), slice(17, 90))
         layout = BitLayout(role_slices)
@@ -445,6 +386,21 @@ class TestNativeBackend:
         got = native.support_any(matrix, alive, layout.seg_byte_starts)
         assert got.dtype == np.dtype(bool)
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "starts",
+        [[0, 4000], [-8, 0], [0, -1], [[0, 8]]],
+        ids=["past-row", "negative-start", "negative-next-start", "not-1d"],
+    )
+    def test_support_any_rejects_bad_segment_starts(self, starts):
+        # The C loop reads bytes [starts[s], starts[s + 1]) of each row:
+        # a start past the row reads beyond the buffer, and a negative
+        # next start wraps to a huge size_t bound.  The wrapper refuses.
+        native = create_backend("native")
+        matrix = np.zeros((2, 1), dtype=bitops.WORD_DTYPE)
+        alive = np.zeros(1, dtype=bitops.WORD_DTYPE)
+        with pytest.raises(ReproError, match="segment starts"):
+            native.support_any(matrix, alive, np.array(starts, dtype=np.int64))
 
     def test_and_accumulate_matches_packed(self):
         rng = np.random.default_rng(31)
@@ -515,22 +471,28 @@ def fresh_auto(monkeypatch, tmp_path):
     reset_backend_cache("auto")
 
 
+def support_operands(rng: np.random.Generator, rows: int, cols: int):
+    """A (matrix, alive, seg_byte_starts) ``support_any`` operand triple."""
+    matrix = bitops.pack_bits(random_bools(rng, (rows, cols)))
+    alive = bitops.pack_bits(random_bools(rng, cols))
+    seg_starts = np.arange(0, matrix.shape[1] * 8, 3, dtype=np.int64)
+    return matrix, alive, seg_starts
+
+
 class TestAutoBackend:
-    def test_bmm_identity_and_single_calibration_per_bucket(self, fresh_auto):
+    def test_support_any_identity_and_single_calibration_per_bucket(self, fresh_auto):
         rng = np.random.default_rng(5)
-        a = bitops.pack_bits(random_bools(rng, (100, 100)))
-        b = bitops.pack_bits(random_bools(rng, (100, 130)))
-        expected = bmm_four_russians(a, b)
-        np.testing.assert_array_equal(fresh_auto.bmm(a, b), expected)
+        operands = support_operands(rng, 100, 130)
+        expected = PackedBackend().support_any(*operands)
+        np.testing.assert_array_equal(fresh_auto.support_any(*operands), expected)
         assert fresh_auto.calibrations == 1
-        np.testing.assert_array_equal(fresh_auto.bmm(a, b), expected)
+        np.testing.assert_array_equal(fresh_auto.support_any(*operands), expected)
         assert fresh_auto.calibrations == 1  # same bucket: dispatch, no re-race
 
     def test_empty_operands_skip_calibration(self, fresh_auto):
-        a = bitops.pack_bits(np.zeros((0, 5), dtype=bool))
-        b = bitops.pack_bits(np.zeros((5, 3), dtype=bool))
-        out = fresh_auto.bmm(a, b)
-        assert out.shape == (0, 1)
+        matrix, alive, seg_starts = support_operands(np.random.default_rng(0), 0, 70)
+        assert fresh_auto.support_any(matrix, alive, seg_starts).shape == (0, len(seg_starts))
+        assert fresh_auto.count_ones(np.zeros(0, dtype=bitops.WORD_DTYPE)) == 0
         assert fresh_auto.calibrations == 0
 
     def test_and_accumulate_race_preserves_in_place_contract(self, fresh_auto):
@@ -545,10 +507,9 @@ class TestAutoBackend:
 
     def test_dispatch_table_round_trips_through_cache_file(self, fresh_auto):
         rng = np.random.default_rng(3)
-        a = bitops.pack_bits(random_bools(rng, (64, 64)))
-        b = bitops.pack_bits(random_bools(rng, (64, 64)))
-        fresh_auto.bmm(a, b)
-        fresh_auto.count_ones(a)
+        operands = support_operands(rng, 64, 64)
+        fresh_auto.support_any(*operands)
+        fresh_auto.count_ones(operands[0])
         assert fresh_auto.calibrations == 2
         table = fresh_auto.dispatch_snapshot()
         record = json.loads(autotune.cache_path().read_text())
@@ -559,7 +520,9 @@ class TestAutoBackend:
         # the table and never re-races.
         second = autotune.AutoBackend()
         assert second.dispatch_snapshot() == table
-        np.testing.assert_array_equal(second.bmm(a, b), fresh_auto.bmm(a, b))
+        np.testing.assert_array_equal(
+            second.support_any(*operands), fresh_auto.support_any(*operands)
+        )
         assert second.calibrations == 0
 
     def test_foreign_host_table_is_ignored(self, fresh_auto, monkeypatch, tmp_path):
@@ -567,7 +530,18 @@ class TestAutoBackend:
         path.write_text(json.dumps({
             "version": autotune.CACHE_VERSION,
             "host": {"platform": "elsewhere", "machine": "pdp11", "cpu_count": 1},
-            "table": {"bmm:20": "numpy"},
+            "table": {"support_any:20": "numpy"},
+        }))
+        monkeypatch.setenv(autotune.ENV_CACHE, str(path))
+        assert autotune.AutoBackend().dispatch_snapshot() == {}
+
+    def test_older_version_table_is_ignored(self, fresh_auto, monkeypatch, tmp_path):
+        # Version 1 tables carry buckets for the retired bmm kernel.
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "version": autotune.CACHE_VERSION - 1,
+            "host": autotune.host_fingerprint(),
+            "table": {"bmm:20": "packed"},
         }))
         monkeypatch.setenv(autotune.ENV_CACHE, str(path))
         assert autotune.AutoBackend().dispatch_snapshot() == {}
@@ -576,33 +550,30 @@ class TestAutoBackend:
         class LyingBackend(KernelBackend):
             name = "lying"
 
-            def bmm(self, a_bits, b_bits):
-                out = PackedBackend().bmm(a_bits, b_bits)
-                out[...] = 0  # fast and wrong
-                return out
+            def support_any(self, matrix_words, alive_words, seg_byte_starts, *, out=None):
+                got = PackedBackend().support_any(matrix_words, alive_words, seg_byte_starts)
+                got[...] = False  # fast and wrong
+                return got
 
         register_backend("lying", LyingBackend)
         try:
             rng = np.random.default_rng(17)
-            a = bitops.pack_bits(random_bools(rng, (80, 80)))
-            b = bitops.pack_bits(random_bools(rng, (80, 80)))
-            expected = bmm_four_russians(a, b)
+            operands = support_operands(rng, 80, 80)
+            expected = PackedBackend().support_any(*operands)
+            assert expected.any()
             with pytest.warns(RuntimeWarning, match="lying.*disagreed"):
-                out = fresh_auto.bmm(a, b)
-            np.testing.assert_array_equal(out, expected)
+                got = fresh_auto.support_any(*operands)
+            np.testing.assert_array_equal(got, expected)
             table = fresh_auto.dispatch_snapshot()
             assert all(winner != "lying" for winner in table.values())
             # Excluded for good: later buckets never race it again.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                big_a = bitops.pack_bits(random_bools(rng, (160, 160)))
-                big_b = bitops.pack_bits(random_bools(rng, (160, 160)))
+                big = support_operands(rng, 160, 160)
                 np.testing.assert_array_equal(
-                    fresh_auto.bmm(big_a, big_b), bmm_four_russians(big_a, big_b)
+                    fresh_auto.support_any(*big), PackedBackend().support_any(*big)
                 )
         finally:
-            from repro.kernels import backend as backend_mod
-
             backend_mod._REGISTRY.pop("lying", None)
             backend_mod._INSTANCES.pop("lying", None)
 
