@@ -10,10 +10,12 @@ byte-by-segment membership matrix per call.  Where they cross is a
 *host* property (cache sizes, numpy build, compiler), not something a
 hard-coded threshold can capture.  :class:`AutoBackend` measures instead of
 guessing: the first call per (kernel, operand-size bucket) races every
-available backend on the **actual operands**, gates each candidate on
-bit-identity with the ``packed`` reference, caches the winner in an
-in-process dispatch table, and persists that table to a versioned JSON
-file so later processes skip the race entirely.  CYK's
+available backend that has its own code for that kernel (``numpy``
+inherits ``packed``'s ``and_accumulate`` and ``count_ones``, so it
+only races ``support_any``) on the **actual operands**, gates each
+candidate on bit-identity with the ``packed`` reference, caches the
+winner in an in-process dispatch table, and persists that table to a
+versioned JSON file so later processes skip the race entirely.  CYK's
 ``rows_intersect`` is not raced: every backend shares one
 implementation of it.
 
@@ -200,10 +202,14 @@ class AutoBackend(KernelBackend):
         *check_identity(reference_result, candidate_result)* decides
         bit-equality.  The reference (``packed``) always participates
         and is the floor: a candidate only wins by being both correct
-        and faster.
+        and faster.  A candidate whose *kernel* method is the reference's
+        own function (``numpy`` inherits ``packed``'s ``count_ones``) is
+        not an alternative and is not timed: racing identical code only
+        persists timing noise as a dispatch choice.
         """
         key = f"{kernel}:{bucket}"
         reference = self._reference()
+        reference_impl = getattr(type(reference), kernel)
 
         def timed(candidate: KernelBackend):
             elapsed, result = None, None
@@ -220,7 +226,10 @@ class AutoBackend(KernelBackend):
         best_time, ref_result = timed(reference)
         best_name = reference.name
         for candidate in self._candidates():
-            if candidate.name == reference.name:
+            if (
+                candidate.name == reference.name
+                or getattr(type(candidate), kernel) is reference_impl
+            ):
                 continue
             elapsed, result = timed(candidate)
             if not check_identity(ref_result, result):

@@ -15,8 +15,12 @@ caches behind its bounded LRU; they also own the lazily-computed
 artifacts the execute layer shares across every network bound from the
 same shape:
 
-* the symmetrized vector-evaluation masks of every constraint (a pure
-  function of the field arrays — the single biggest per-parse cost);
+* the vector-evaluation masks (a pure function of the field arrays —
+  the single biggest per-parse cost): the unary vectors, and the fused
+  binary mask from one boolean AND over every binary constraint, one
+  symmetrization and one pack.  The per-constraint packed masks are
+  deferred on every template, built, extended or attached, and
+  evaluated only when a non-fused consumer first reads them;
 * the consistency-maintenance segment tables (role starts for
   ``reduceat``);
 * an ``(NV, NV)`` scratch buffer reused by consistency maintenance.
@@ -41,6 +45,7 @@ from repro.network.rolevalue import RoleValue, enumerate_role_values
 from repro.pipeline.compiled import CompiledGrammar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.constraints.vector import VectorEnv
     from repro.network.network import ConstraintNetwork
 
 #: Cache key of a sentence shape under one grammar.
@@ -65,20 +70,24 @@ class VectorMasks:
     :meth:`NetworkTemplate.vector_masks_bool` materializes lazily for
     the byte-per-bool comparison engine.
 
-    ``fused`` is the word-wide AND of every packed binary mask (``None``
-    in the boolean form, or when the grammar has no binary constraints).
-    Maruyama's eliminations are monotone and order-independent up to the
-    fixpoint, so the no-trace fast path may apply this one combined mask
-    and run a single consistency fixpoint instead of interleaving
-    ``k_b`` mask applications with ``k_b`` full sweeps — bit-identical
-    at the fixpoint, ~``k_b``x fewer sweeps.
+    ``fused`` is the AND of every binary constraint's symmetrized mask,
+    packed (``None`` in the boolean form, or when the grammar has no
+    binary constraints).  Templates compute it as one boolean fold over
+    the constraints, one symmetrization and one pack — as the MP-1
+    keeps only the combined verdict of all binary constraints per arc
+    entry.  Maruyama's eliminations are monotone and order-independent
+    up to the fixpoint, so the no-trace fast path may apply this one
+    combined mask and run a single consistency fixpoint instead of
+    interleaving ``k_b`` mask applications with ``k_b`` full sweeps —
+    bit-identical at the fixpoint, ~``k_b``x fewer sweeps.
 
-    Prefix-extended templates build ``unary`` and ``fused`` eagerly but
-    defer the per-constraint ``binary`` tuple behind *binary_thunk*: the
-    fused fast path never reads it, and materializing ``k_b`` full
-    ``(NV, NV)`` masks is the dominant cost of an extension step.  The
-    first ``binary`` access (interleaved/boolean engines, the process
-    store, introspection) evaluates and memoizes them.
+    Every template (full build, prefix extension, shared-memory attach)
+    builds ``unary`` and ``fused`` eagerly and defers the per-constraint
+    ``binary`` tuple behind *binary_thunk*: the fused fast path never
+    reads it, and packing ``k_b`` full ``(NV, NV)`` masks would cost
+    more than the rest of the build.  The first ``binary`` access
+    (interleaved/boolean engines, introspection) evaluates and memoizes
+    them.
     """
 
     __slots__ = ("unary", "_binary", "_binary_thunk", "fused", "packed")
@@ -186,12 +195,7 @@ class NetworkTemplate:
         if prefix is not None:
             self._extend_maps(prefix)
         if base_bits is None:
-            same_role = self.role_index[:, None] == self.role_index[None, :]
-            base = ~same_role
-            same_word = self.pos[:, None] == self.pos[None, :]
-            cat_clash = same_word & (self.cat[:, None] != self.cat[None, :])
-            base &= ~cat_clash
-            base_bits = bitset.pack_rows(base, self.bit_layout)
+            base_bits = self._base_bits_from_classes(len(grammar.symbols.categories))
         elif base_bits.shape != (nv, self.bit_layout.n_words):
             raise NetworkError(
                 f"precomputed base_bits shape {base_bits.shape} does not match "
@@ -233,6 +237,23 @@ class NetworkTemplate:
         self._scratch_bits: np.ndarray | None = None
         self._nbytes_cache: "tuple[tuple, int] | None" = None
 
+    def _base_bits_from_classes(self, n_categories: int) -> np.ndarray:
+        """The packed base mask, evaluated once per distinct row.
+
+        A base row ``i`` is ``role_index[i] != role_index[j]`` minus the
+        category clash ``pos[i] == pos[j] and cat[i] != cat[j]``; the
+        position follows from the role index, so the row depends on
+        ``i`` only through its (role index, category) class.  The few
+        class rows (at most ``n_roles * |cats|``) are evaluated and
+        packed, then gathered to all NV rows through the class inverse.
+        """
+        keys = self.role_index.astype(np.int64) * n_categories + self.cat
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        role, pos, cat = self.role_index[first], self.pos[first], self.cat[first]
+        rows = role[:, None] != self.role_index[None, :]
+        rows &= (pos[:, None] != self.pos[None, :]) | (cat[:, None] == self.cat[None, :])
+        return bitset.pack_rows(rows, self.bit_layout)[inverse.reshape(-1)]
+
     @property
     def base_matrix(self) -> np.ndarray:
         """The boolean expansion of ``base_bits`` (lazy, frozen, cached)."""
@@ -254,20 +275,21 @@ class NetworkTemplate:
         compiled: CompiledGrammar,
         *,
         base_bits: np.ndarray,
-        masks: VectorMasks,
+        unary: tuple[np.ndarray, ...],
+        fused: np.ndarray | None,
     ) -> "NetworkTemplate":
         """Rebuild a template around arrays attached from shared memory.
 
         The cheap O(NV) skeleton (role-value enumeration, field arrays,
         category and segment tables) is recomputed locally; the O(NV^2)
-        ``base_bits`` and the constraint masks — the expensive artifacts
-        — come in as read-only views over a
+        ``base_bits`` and the fused mask — the expensive artifacts the
+        default engine reads — come in as read-only views over a
         :class:`~repro.parallel.shared.SharedTemplateStore` block, so a
-        worker process never recomputes or copies them.
+        worker process never recomputes or copies them.  The
+        per-constraint masks stay deferred, as on every template.
         """
         template = cls(grammar, category_sets, base_bits=base_bits)
-        template._masks = masks
-        template._masks_for = compiled
+        template._store_masks(compiled, unary, fused)
         return template
 
     @property
@@ -290,8 +312,9 @@ class NetworkTemplate:
         for :meth:`ConstraintNetwork.extend_from`.
 
         The base matrix is *not* scattered from the prefix: it is pure
-        position/role arithmetic, and at sentence-sized NV the
-        vectorized formula is cheaper than moving the old packed block.
+        position/role arithmetic, and its row-class build
+        (:meth:`_base_bits_from_classes`) is cheaper than moving the old
+        packed block.
         The expensive carried artifacts are the constraint masks
         (:meth:`_extend_masks`) and the propagation state
         (:meth:`ConstraintNetwork.extend_from`).
@@ -340,10 +363,13 @@ class NetworkTemplate:
 
     #: Below this many *saved* pair evaluations an incremental mask
     #: extension loses to the plain full evaluation: the scatter
-    #: bookkeeping (index maps, strip assigns, fused unpack/repack) has
-    #: a fixed cost that small prefixes never amortize.  Expressed in
-    #: matrix elements; tuned on the english grammar's n <= 10 sweep.
-    _EXTEND_MIN_SAVED_PAIRS = 16384
+    #: bookkeeping (two constraint folds, strip assigns, fused
+    #: unpack/repack) has a fixed cost that small prefixes never
+    #: amortize.  Expressed in matrix elements.  On the english grammar's
+    #: n <= 16 prefix sweep against the single-pack full build, extension
+    #: still lost at 81,499 saved pairs (n=11) and won from 113,256
+    #: (n=12) on.
+    _EXTEND_MIN_SAVED_PAIRS = 98304
 
     def _extend_masks(self, prefix: "NetworkTemplate", compiled: CompiledGrammar) -> None:
         """Extend *prefix*'s cached vector masks into this template.
@@ -405,51 +431,22 @@ class NetworkTemplate:
             y={k: v[None, :] for k, v in new_fields.items()},
             canbe=self.canbe_array,
         )
-        shape = (new_idx.size, self.nv)
-        old_shape = (idx_map.size, new_idx.size)
-        fused: np.ndarray | None = None
-        binary: tuple[np.ndarray, ...] | None = ()
-        binary_thunk = None
-        if compiled.binary:
-            # Only the FUSED mask is materialized in the extended
-            # layout: the per-constraint cross strips are AND-folded as
-            # they are evaluated, the prefix's fused block is scattered
-            # through idx_map, and one pack covers the result.  The
-            # per-constraint tuple stays deferred (``binary_thunk``) —
-            # scattering k_b full (NV, NV) masks costs more than the
-            # whole rest of the extension, and the fused fast path
-            # never reads them.
-            rows_acc: np.ndarray | None = None
-            cols_acc: np.ndarray | None = None
-            for cc in compiled.binary:
-                rows = np.broadcast_to(cc.vector(row_env), shape)
-                cols = np.broadcast_to(cc.vector(col_env), old_shape)
-                if rows_acc is None:
-                    rows_acc, cols_acc = rows.copy(), cols.copy()
-                else:
-                    rows_acc &= rows
-                    cols_acc &= cols
-            acc = rows_acc
-            corner = acc[:, new_idx]  # fancy index: a copy of the pure row fold
-            acc[:, idx_map] &= cols_acc.T
-            acc[:, new_idx] = corner & corner.T
+        # One fold per cross orientation; the prefix's fused block is
+        # scattered through idx_map and the result is packed once.
+        rows_acc = self._fold_binary(compiled, row_env, (new_idx.size, self.nv))
+        cols_acc = self._fold_binary(compiled, col_env, (idx_map.size, new_idx.size))
+        sym: np.ndarray | None = None
+        if rows_acc is not None:
+            corner = rows_acc[:, new_idx]  # fancy index: a copy of the pure row fold
+            rows_acc[:, idx_map] &= cols_acc.T
+            rows_acc[:, new_idx] = corner & corner.T
             sym = np.zeros((self.nv, self.nv), dtype=bool)
             sym[np.ix_(idx_map, idx_map)] = bitset.unpack_rows(
                 old_masks.fused, prefix.bit_layout
             )
-            sym[new_idx, :] = acc
-            sym[:, new_idx] = acc.T
-            fused = _frozen(bitset.pack_rows(sym, self.bit_layout))
-            binary = None
-            binary_thunk = functools.partial(self._binary_masks_packed, compiled)
-        self._masks = VectorMasks(
-            unary=tuple(unary),
-            binary=binary,
-            packed=True,
-            fused=fused,
-            binary_thunk=binary_thunk,
-        )
-        self._masks_for = compiled
+            sym[new_idx, :] = rows_acc
+            sym[:, new_idx] = rows_acc.T
+        self._store_masks(compiled, tuple(unary), self._pack_fused(sym))
 
     # -- binding -----------------------------------------------------------
 
@@ -512,19 +509,62 @@ class NetworkTemplate:
         return self._masks
 
     def _compute_masks_full(self, compiled: CompiledGrammar) -> None:
-        """Evaluate and cache the masks over all O(NV^2) pairs."""
+        """Evaluate and cache the masks over all O(NV^2) pairs.
+
+        The binary constraints are AND-folded in boolean space,
+        symmetrized once and packed once: the fused mask is all the
+        default engine reads, so the per-constraint masks stay deferred.
+        """
         from repro.constraints.vector import VectorEnv
 
         unary_env = VectorEnv(x=self._field_arrays(), y=None, canbe=self.canbe_array)
         unary = tuple(_frozen(cc.vector(unary_env)) for cc in compiled.unary)
-        binary = self._binary_masks_packed(compiled)
-        fused: np.ndarray | None = None
-        if binary:
-            acc = binary[0].copy()
-            for mask in binary[1:]:
-                acc &= mask
-            fused = _frozen(acc)
-        self._masks = VectorMasks(unary=unary, binary=binary, packed=True, fused=fused)
+        acc = self._fold_binary(compiled, self._pair_env(), (self.nv, self.nv))
+        if acc is not None:
+            acc &= acc.T
+        self._store_masks(compiled, unary, self._pack_fused(acc))
+
+    @staticmethod
+    def _fold_binary(
+        compiled: CompiledGrammar, env: "VectorEnv", shape: tuple[int, int]
+    ) -> np.ndarray | None:
+        """AND of every binary constraint's permitted mask over *env*.
+
+        The one mask-evaluation loop of both the full build and the
+        prefix extension; ``None`` when the grammar has no binary
+        constraints.  Symmetrizing commutes with the fold —
+        ``AND_c [c & c.T] == [AND_c c] & [AND_c c].T`` — so callers
+        symmetrize the folded result once.
+        """
+        acc: np.ndarray | None = None
+        for cc in compiled.binary:
+            permitted = np.broadcast_to(cc.vector(env), shape)
+            if acc is None:
+                acc = permitted.copy()
+            else:
+                acc &= permitted
+        return acc
+
+    def _pack_fused(self, sym: np.ndarray | None) -> np.ndarray | None:
+        return None if sym is None else _frozen(bitset.pack_rows(sym, self.bit_layout))
+
+    def _store_masks(
+        self,
+        compiled: CompiledGrammar,
+        unary: tuple[np.ndarray, ...],
+        fused: np.ndarray | None,
+    ) -> None:
+        """Cache *unary* and the packed *fused* mask; defer ``binary``."""
+        deferred = fused is not None
+        self._masks = VectorMasks(
+            unary=unary,
+            binary=None if deferred else (),
+            packed=True,
+            fused=fused,
+            binary_thunk=(
+                functools.partial(self._binary_masks_packed, compiled) if deferred else None
+            ),
+        )
         self._masks_for = compiled
 
     def _field_arrays(self) -> dict[str, np.ndarray]:
@@ -537,21 +577,26 @@ class NetworkTemplate:
             "mod": self.mod,
         }
 
-    def _binary_masks_packed(self, compiled: CompiledGrammar) -> tuple[np.ndarray, ...]:
-        """Symmetrized packed masks of every binary constraint, full eval.
-
-        Shared by :meth:`vector_masks` and by the deferred ``binary``
-        of an extended template (:meth:`_extend_masks`), where it runs
-        only if a non-fused consumer actually asks for the tuple.
-        """
+    def _pair_env(self) -> "VectorEnv":
+        """The ``(NV, 1) x (1, NV)`` broadcast env of all value pairs."""
         from repro.constraints.vector import VectorEnv
 
         fields = self._field_arrays()
-        pair_env = VectorEnv(
+        return VectorEnv(
             x={k: v[:, None] for k, v in fields.items()},
             y={k: v[None, :] for k, v in fields.items()},
             canbe=self.canbe_array,
         )
+
+    def _binary_masks_packed(self, compiled: CompiledGrammar) -> tuple[np.ndarray, ...]:
+        """Symmetrized packed masks of every binary constraint, full eval.
+
+        The deferred ``binary`` of every template (built, extended or
+        attached from shared memory): it runs only when a non-fused
+        consumer — the interleaved or byte engine, introspection —
+        first asks for the tuple.
+        """
+        pair_env = self._pair_env()
         binary: list[np.ndarray] = []
         for cc in compiled.binary:
             permitted = cc.vector(pair_env)

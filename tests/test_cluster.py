@@ -548,11 +548,18 @@ class TestShardRouterUnit:
 class TestLauncherEndToEnd:
     def test_subprocess_cluster_parses_and_logs(self, tmp_path):
         grammar = english_grammar()
-        sentences = seeded_corpus(seed=1, size=6)
-        reference = ParserSession(grammar, engine="vector").parse_many(sentences)
+        pool = seeded_corpus(seed=1, size=24)
         with ClusterLauncher("english", shards=2, run_dir=tmp_path) as launcher:
             assert launcher.alive() == [True, True]
             with launcher.client(grammar) as client:
+                # Shards listen on OS-assigned ports and the addresses
+                # feed the hash ring, so pick six sentences that give
+                # every shard at least one.
+                owners = [client.router.shard_for(grammar.tokenize(s)) for s in pool]
+                firsts = [owners.index(address) for address in client.router.addresses]
+                rest = [i for i in range(len(pool)) if i not in firsts]
+                sentences = [pool[i] for i in sorted(firsts + rest[: 6 - len(firsts)])]
+                reference = ParserSession(grammar, engine="vector").parse_many(sentences)
                 clustered = client.parse_many(sentences, timeout=WAIT)
                 for ours, theirs in zip(clustered, reference):
                     assert_bit_identical(ours, theirs)

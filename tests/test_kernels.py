@@ -546,6 +546,38 @@ class TestAutoBackend:
         monkeypatch.setenv(autotune.ENV_CACHE, str(path))
         assert autotune.AutoBackend().dispatch_snapshot() == {}
 
+    def test_race_skips_candidates_sharing_the_reference_kernel(self, fresh_auto, monkeypatch):
+        # numpy inherits packed's count_ones and and_accumulate but has
+        # its own support_any: only the latter is a real alternative.
+        numpy_backend = probe_backend("numpy")
+        monkeypatch.setattr(fresh_auto, "_candidates", lambda: [numpy_backend])
+        for kernel, raced in (
+            ("count_ones", {"packed"}),
+            ("and_accumulate", {"packed"}),
+            ("support_any", {"packed", "numpy"}),
+        ):
+            timed: list[str] = []
+
+            def run(candidate, timed=timed):
+                timed.append(candidate.name)
+                return 0
+
+            fresh_auto._race(kernel, 9, run, lambda ref, got: ref == got)
+            assert set(timed) == raced, kernel
+        table = fresh_auto.dispatch_snapshot()
+        assert table["count_ones:9"] == table["and_accumulate:9"] == "packed"
+
+    def test_inherited_kernels_always_dispatch_to_packed(self, fresh_auto, monkeypatch):
+        monkeypatch.setattr(fresh_auto, "_candidates", lambda: [probe_backend("numpy")])
+        rng = np.random.default_rng(23)
+        for rows in (1, 20, 300):
+            target = bitops.pack_bits(random_bools(rng, (rows, 100)))
+            mask = bitops.pack_bits(random_bools(rng, (rows, 100)))
+            fresh_auto.count_ones(target)
+            fresh_auto.and_accumulate(target, mask)
+        table = fresh_auto.dispatch_snapshot()
+        assert table and set(table.values()) == {"packed"}
+
     def test_disagreeing_candidate_is_excluded(self, fresh_auto):
         class LyingBackend(KernelBackend):
             name = "lying"

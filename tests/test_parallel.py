@@ -182,6 +182,42 @@ class TestSharedTemplateStore:
             finally:
                 shm.close()
 
+    def test_attach_keeps_per_constraint_masks_deferred(self):
+        from repro import create_engine
+
+        grammar = english_grammar()
+        session = ParserSession(grammar)
+        template = session.template_for(sentence_of_length(6))
+        masks = template.vector_masks(session.compiled)
+        sent = grammar.tokenize(sentence_of_length(6))
+        with SharedTemplateStore() as store:
+            handle = store.export(template, session.compiled)
+            # Export reads only the fused mask: nothing materializes and
+            # the block carries no per-constraint masks.
+            assert not masks.binary_materialized
+            assert handle.spec("binary") is None
+            exported = template.base_bits.nbytes + masks.fused.nbytes
+            exported += sum(m.nbytes for m in masks.unary)
+            assert handle.nbytes <= exported + 8 * len(handle.specs)
+            attached, shm = attach_template(handle, grammar, session.compiled)
+            try:
+                default = create_engine("vector")
+                default.run(attached.bind(sent), compiled=session.compiled)
+                assert not attached.vector_masks(session.compiled).binary_materialized
+                # The interleaved engine evaluates the deferred masks
+                # locally and settles exactly like the owner.
+                interleaved = create_engine("vector-interleaved")
+                ours, theirs = attached.bind(sent), template.bind(sent)
+                our_stats = interleaved.run(ours, compiled=session.compiled)
+                their_stats = interleaved.run(theirs, compiled=session.compiled)
+                assert attached.vector_masks(session.compiled).binary_materialized
+                np.testing.assert_array_equal(ours.alive_bits, theirs.alive_bits)
+                np.testing.assert_array_equal(ours.matrix_bits, theirs.matrix_bits)
+                for stat in DETERMINISTIC_STATS:
+                    assert getattr(our_stats, stat) == getattr(their_stats, stat), stat
+            finally:
+                shm.close()
+
     def test_handle_geometry(self):
         grammar = english_grammar()
         session = ParserSession(grammar)

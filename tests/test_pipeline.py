@@ -313,3 +313,98 @@ class TestRegistry:
             from repro.engines import registry
 
             registry._REGISTRY.pop("null-test", None)
+
+
+# -- the single-pack mask pipeline -------------------------------------------
+
+
+def _gate_cases():
+    import random
+
+    from repro.grammar import builtin
+    from repro.workloads.random_grammars import random_grammar
+
+    for name in sorted(builtin.__all__):
+        if name.endswith("_grammar"):
+            grammar = getattr(builtin, name)()
+            words = grammar.lexicon.words()
+            yield pytest.param(grammar, [words[i % len(words)] for i in range(6)], id=name)
+    for seed in range(12):
+        rng = random.Random(seed)
+        grammar = random_grammar(rng)
+        words = grammar.lexicon.words()
+        yield pytest.param(
+            grammar, [rng.choice(words) for _ in range(5)], id=f"random-{seed}"
+        )
+
+
+GATE_CASES = list(_gate_cases())
+
+
+def _quadratic_base_bits(template) -> np.ndarray:
+    """The base mask from the dense (NV, NV) formula, packed whole."""
+    from repro.network import bitset
+
+    same_role = template.role_index[:, None] == template.role_index[None, :]
+    same_word = template.pos[:, None] == template.pos[None, :]
+    cat_clash = same_word & (template.cat[:, None] != template.cat[None, :])
+    return bitset.pack_rows(~same_role & ~cat_clash, template.bit_layout)
+
+
+def _assert_single_pack(template, compiled) -> None:
+    """Fused mask, base mask and byte accounting of one template."""
+    np.testing.assert_array_equal(template.base_bits, _quadratic_base_bits(template))
+    masks = template.vector_masks(compiled)
+    if not compiled.binary:
+        assert masks.fused is None and masks.binary == ()
+        return
+    assert not masks.binary_materialized
+    deferred_bytes = template.nbytes()
+    assert not masks.binary_materialized  # accounting must not force them
+    binary = masks.binary
+    np.testing.assert_array_equal(masks.fused, np.bitwise_and.reduce(np.stack(binary)))
+    assert template.nbytes() - deferred_bytes == sum(m.nbytes for m in binary)
+
+
+class TestSinglePackMasks:
+    """The fused mask is packed once; per-constraint masks stay deferred."""
+
+    @pytest.mark.parametrize(("grammar", "words"), GATE_CASES)
+    def test_full_build(self, grammar, words):
+        from repro.pipeline.template import NetworkTemplate
+
+        compiled = compile_grammar(grammar)
+        shape = grammar.tokenize(words).category_sets
+        _assert_single_pack(NetworkTemplate.build(grammar, shape), compiled)
+
+    @pytest.mark.parametrize(("grammar", "words"), GATE_CASES)
+    def test_prefix_extended_build(self, grammar, words, monkeypatch):
+        from repro.pipeline.template import NetworkTemplate
+
+        # Force the incremental strip path at every size; the default
+        # threshold sends small shapes through the full evaluation,
+        # which test_full_build already covers.
+        monkeypatch.setattr(NetworkTemplate, "_EXTEND_MIN_SAVED_PAIRS", float("-inf"))
+        compiled = compile_grammar(grammar)
+        shape = grammar.tokenize(words).category_sets
+        template = NetworkTemplate.build(grammar, shape[:1])
+        for k in range(2, len(shape) + 1):
+            template.vector_masks(compiled)
+            template = template.extend(shape[k - 1], compiled=compiled)
+            full = NetworkTemplate.build(grammar, shape[:k])
+            np.testing.assert_array_equal(template.base_bits, full.base_bits)
+            mine, theirs = template.vector_masks(compiled), full.vector_masks(compiled)
+            if theirs.fused is not None:
+                np.testing.assert_array_equal(mine.fused, theirs.fused)
+            _assert_single_pack(template, compiled)
+
+    @pytest.mark.parametrize(("grammar", "words"), GATE_CASES)
+    def test_default_parse_and_stream_never_materialize(self, grammar, words):
+        # Separate sessions: a shared one would hand the stream the
+        # parse's cached full build instead of an extended template.
+        session = ParserSession(grammar)
+        parsed = session.parse(words).network.template
+        streamed = ParserSession(grammar).stream(words).result().network.template
+        assert streamed.prefix_map is not None
+        for template in (parsed, streamed):
+            assert template._masks.binary_materialized == (not session.compiled.binary)
